@@ -237,23 +237,6 @@ func BenchmarkTable5Clustering(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateStrategies is the DESIGN.md ablation: branch-only vs
-// branch×column-block scheduling of the parallel update stage.
-func BenchmarkUpdateStrategies(b *testing.B) {
-	for _, d := range benchData(b) {
-		b.Run(d.name+"/branch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranch, 0)
-			}
-		})
-		b.Run(d.name+"/branch-column", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.cbm0.MulToStrategy(d.out, d.x, 0, cbm.StrategyBranchColumn, 16)
-			}
-		})
-	}
-}
-
 // BenchmarkCompressPhases isolates the candidate-graph phase (the AAᵀ
 // work dominating compression, per Sec. VIII's memory discussion) from
 // the per-α tree rebuild, demonstrating the Builder amortization.

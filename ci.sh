@@ -65,7 +65,7 @@ go test -count=1 -run 'TestCheckShardEquivalence' ./internal/oracle/
 echo "==> cmd/verify smoke sweep"
 go run ./cmd/verify -n 64 -sweep quick
 
-echo "==> fused vs two-stage equivalence smoke"
+echo "==> thread-invariance smoke (each plan bitwise across threads {1,4,8} under stress)"
 go run ./cmd/verify -n 96 -gens hub,sbm -alphas 0,4 -threads 1,4,8 -stress 1
 
 echo "==> cmd/gcnserve smoke (concurrent engine under load)"
@@ -85,21 +85,13 @@ echo "==> cmd/gcnserve sharded smoke (row-partitioned backend under concurrent l
 go run ./cmd/gcnserve -dataset cora -cols 16 -classes 4 -concurrency 4 -requests 3 \
     -shards 4 -shard-order rcm >/dev/null
 
-echo "==> cbmbench metrics smoke (BENCH_cbm.json)"
-go run ./cmd/cbmbench -exp bench -datasets cora -cols 16 -reps 3 -warmup 1 \
+echo "==> cbmbench metrics smoke + pinned-plan check (BENCH_cbm.json; cora pins csr, collab pins branch)"
+# -check-bench validates the schema and fails when a dataset's pinned
+# plan is more than 5% + 2σ slower than the faster of the two forced
+# plans, so both sides of the 1.3 ratio threshold are measured fresh.
+go run ./cmd/cbmbench -exp bench -datasets cora,collab -cols 16 -reps 3 -warmup 1 \
     -bench-out BENCH_cbm.smoke.json -metrics >/dev/null
 go run ./cmd/cbmbench -check-bench BENCH_cbm.smoke.json
 rm -f BENCH_cbm.smoke.json
-
-echo "==> calibrate sweep smoke (mini registry -> temp CALIBRATION.json)"
-go run ./cmd/calibrate -plans -mini -datasets cora,collab -reps 3 -warmup 1 \
-    -out CALIBRATION.smoke.json >/dev/null
-rm -f CALIBRATION.smoke.json
-
-echo "==> selector model staleness gate (committed CALIBRATION.json vs model_default.go)"
-go run ./cmd/calibrate -check-model
-
-echo "==> selector acceptance gate smoke (fresh mini measurements)"
-go run ./cmd/calibrate -gate -mini -datasets cora,collab -reps 3 -warmup 1
 
 echo "ci: OK"

@@ -1,101 +1,29 @@
-// Command calibrate is the repository's calibration tool, in two
-// halves.
-//
-// With no mode flag it checks every registered dataset analog against
+// Command calibrate checks every registered dataset analog against
 // the paper's published structural targets: node count, average
 // degree, clustering coefficient, and the α = 0 / α = 32 compression
 // ratios — the tool used to tune the generator parameters in
 // internal/bench/registry.go; re-run it after touching any generator.
-//
-// The plan-selector modes drive the committed selector artifacts:
-//
-//	-plans        run the plan-calibration sweep (all three execution
-//	              plans per graph/kind/threads/cols configuration,
-//	              drift-immune interleaved measurement, scoped
-//	              per-stage splits) and write CALIBRATION.json
-//	-fit          refit the decision tree from CALIBRATION.json and
-//	              write internal/costmodel/model_default.go
-//	-check-model  fail if the committed model, the committed report's
-//	              recorded choices, or the acceptance gate are stale
-//	              against CALIBRATION.json
-//	-gate         run a fresh sweep (usually with -mini) and fail if
-//	              the committed selector picks a plan more than 5%
-//	              (+noise) slower than the best measured plan
 package main
 
 import (
 	"flag"
 	"fmt"
-	"go/format"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cbm"
-	"repro/internal/costmodel"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
-	threads := flag.Int("threads", 0, "worker count for the structural check (0 = GOMAXPROCS)")
+	threads := flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	metrics := flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
-
-	plans := flag.Bool("plans", false, "run the plan-calibration sweep and write -out")
-	fit := flag.Bool("fit", false, "refit the selector model from -calib and write -out")
-	checkModel := flag.Bool("check-model", false, "fail if the committed model is stale against -calib")
-	gate := flag.Bool("gate", false, "run a fresh sweep and fail on selector acceptance violations")
-
-	calib := flag.String("calib", "CALIBRATION.json", "calibration report path (-fit, -check-model)")
-	out := flag.String("out", "", "output path (-plans: report JSON, default CALIBRATION.json; -fit: model source, default internal/costmodel/model_default.go)")
-	datasets := flag.String("datasets", "", "comma-separated registry subset for the sweep (empty = all)")
-	mini := flag.Bool("mini", false, "sweep the scaled-down mini registry (smokes)")
-	withMini := flag.Bool("with-mini", false, "append the mini registry to the full sweep (the committed artifact covers both scales)")
-	sweepThreads := flag.String("sweep-threads", "", "comma-separated thread counts for the sweep (default 1,4)")
-	sweepCols := flag.String("sweep-cols", "", "comma-separated operand widths for the sweep (default 16,32)")
-	reps := flag.Int("reps", 0, "sweep timing repetitions (default 7)")
-	warmup := flag.Int("warmup", 0, "sweep warmup repetitions (default 2)")
 	flag.Parse()
 
-	modes := 0
-	for _, m := range []bool{*plans, *fit, *checkModel, *gate} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fail("pick one of -plans, -fit, -check-model, -gate")
-	}
-
-	cfg := experiments.CalibrateConfig{
-		Seed:        *seed,
-		Reps:        *reps,
-		Warmup:      *warmup,
-		Threads:     parseInts(*sweepThreads, "-sweep-threads"),
-		Cols:        parseInts(*sweepCols, "-sweep-cols"),
-		Mini:        *mini,
-		IncludeMini: *withMini,
-	}
-	if *datasets != "" {
-		cfg.Datasets = strings.Split(*datasets, ",")
-	}
-
-	switch {
-	case *plans:
-		runPlans(cfg, *out)
-	case *fit:
-		runFit(*calib, *out)
-	case *checkModel:
-		runCheckModel(*calib)
-	case *gate:
-		runGate(cfg)
-	default:
-		structuralCheck(*seed, *threads)
-	}
+	structuralCheck(*seed, *threads)
 	if *metrics {
 		if err := obs.WriteJSON(os.Stderr); err != nil {
 			fail("metrics: %v", err)
@@ -103,118 +31,7 @@ func main() {
 	}
 }
 
-// runPlans runs the full sweep, writes the report, and refuses to emit
-// an artifact the acceptance gate would reject — a committed
-// CALIBRATION.json that fails its own bound is worse than none.
-func runPlans(cfg experiments.CalibrateConfig, out string) {
-	if out == "" {
-		out = "CALIBRATION.json"
-	}
-	r, err := experiments.Calibrate(cfg)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := r.WriteFile(out); err != nil {
-		fail("writing %s: %v", out, err)
-	}
-	outf("calibrate: %d samples -> %s\n", len(r.Samples), out)
-	for _, f := range r.Findings {
-		outf("  finding: %s\n", f)
-	}
-	if v := experiments.Gate(r); len(v) > 0 {
-		for _, line := range v {
-			_, _ = fmt.Fprintln(os.Stderr, "calibrate: gate:", line)
-		}
-		fail("the committed selector fails its acceptance bound on this sweep; refit with -fit")
-	}
-}
-
-// runFit refits the decision tree from the committed report and writes
-// the generated model source. It also rewrites the report's recorded
-// Chosen fields with the new model's decisions — the committed artifact
-// and the committed model must describe each other, and re-measuring
-// just to refresh a derived column would let fresh noise desync the fit
-// from its own evidence.
-func runFit(calib, out string) {
-	if out == "" {
-		out = "internal/costmodel/model_default.go"
-	}
-	r, err := costmodel.ReadCalibration(calib)
-	if err != nil {
-		fail("%v", err)
-	}
-	samples := r.FitSamples()
-	m := costmodel.Fit(samples, costmodel.DefaultFitOptions())
-	model, oracle := costmodel.TotalCost(&m, samples)
-	src, err := format.Source([]byte(m.GoSource()))
-	if err != nil {
-		fail("formatting generated model: %v", err)
-	}
-	if err := os.WriteFile(out, src, 0o644); err != nil {
-		fail("writing %s: %v", out, err)
-	}
-	for i := range r.Samples {
-		r.Samples[i].Chosen = m.Select(r.Samples[i].Features).String()
-	}
-	if err := r.WriteFile(calib); err != nil {
-		fail("rewriting %s: %v", calib, err)
-	}
-	outf("calibrate: fit %d nodes from %d samples -> %s (choices refreshed in %s)\n",
-		len(m.Nodes), len(samples), out, calib)
-	outf("calibrate: model cost %.4gs vs oracle %.4gs (%.1f%% above optimal)\n",
-		model, oracle, 100*(model/oracle-1))
-	if v := experiments.Gate(r); len(v) > 0 {
-		for _, line := range v {
-			_, _ = fmt.Fprintln(os.Stderr, "calibrate: gate:", line)
-		}
-		fail("the fitted model fails the acceptance bound on its own training data")
-	}
-}
-
-// runCheckModel is the staleness gate: the committed model must be the
-// refit of the committed report, the report's recorded choices must be
-// what the committed model selects, and the report must pass the
-// acceptance gate.
-func runCheckModel(calib string) {
-	r, err := costmodel.ReadCalibration(calib)
-	if err != nil {
-		fail("%v", err)
-	}
-	refit := costmodel.Fit(r.FitSamples(), costmodel.DefaultFitOptions())
-	if !refit.Equal(&costmodel.DefaultModel) {
-		fail("internal/costmodel/model_default.go is stale: refitting %s yields a different model; run -fit and commit", calib)
-	}
-	for _, s := range r.Samples {
-		if got := costmodel.DefaultModel.Select(s.Features).String(); got != s.Chosen {
-			fail("%s: recorded chosen=%q but the committed model selects %q; re-run -plans", calib, s.Chosen, got)
-		}
-	}
-	if v := experiments.Gate(r); len(v) > 0 {
-		for _, line := range v {
-			_, _ = fmt.Fprintln(os.Stderr, "calibrate: gate:", line)
-		}
-		fail("committed %s fails the selector acceptance bound", calib)
-	}
-	outf("calibrate: model, recorded choices and gate are in sync with %s (%d samples)\n", calib, len(r.Samples))
-}
-
-// runGate measures fresh and gates the committed selector against what
-// this machine actually observes.
-func runGate(cfg experiments.CalibrateConfig) {
-	r, err := experiments.Calibrate(cfg)
-	if err != nil {
-		fail("%v", err)
-	}
-	if v := experiments.Gate(r); len(v) > 0 {
-		for _, line := range v {
-			_, _ = fmt.Fprintln(os.Stderr, "calibrate: gate:", line)
-		}
-		fail("selector picked a plan >5%% slower than the measured best on %d of %d configurations", len(v), len(r.Samples))
-	}
-	outf("calibrate: gate passed on %d fresh configurations\n", len(r.Samples))
-}
-
-// structuralCheck is the original dataset-analog verification.
+// structuralCheck prints each analog next to its paper targets.
 func structuralCheck(seed uint64, threads int) {
 	for _, d := range bench.Registry {
 		start := time.Now()
@@ -247,24 +64,6 @@ func structuralCheck(seed uint64, threads int) {
 			r0, d.Paper.RatioAlpha0, r32, d.Paper.RatioAlpha32,
 			s0.CandidateEdges, s0.VirtualKids, build, gen)
 	}
-}
-
-// parseInts parses a comma-separated int list; empty means "use the
-// sweep default".
-func parseInts(s, flagName string) []int {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			fail("%s: bad value %q", flagName, p)
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 func fail(format string, args ...any) {

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cbm"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -41,10 +40,9 @@ func main() {
 		verifyTrials = flag.Int("verify-trials", 5, "random operand matrices per dataset for -exp verify (paper: 50)")
 		jsonOut      = flag.String("json", "", "additionally write all results as JSON to this file")
 		benchOut     = flag.String("bench-out", "BENCH_cbm.json", "machine-readable report file for -exp bench")
-		checkBench   = flag.String("check-bench", "", "validate an existing bench report file and exit")
+		checkBench   = flag.String("check-bench", "", "validate a bench report file, check each pinned plan against the faster measured plan, and exit")
 		metrics      = flag.Bool("metrics", false, "dump the internal/obs metrics snapshot as JSON to stderr on exit")
 		profile      = flag.Bool("stage-labels", false, "attach pprof cbm_stage goroutine labels to instrumented regions")
-		plan         = flag.String("plan", "", "process-wide plan mode for MulTo: auto, heuristic, two-stage, fused or csr (default auto; also CBM_PLAN)")
 		doReorder    = flag.String("reorder", "", "run -exp bench headline numbers on the reordered graph (banded candidate build): minhash or rcm")
 		window       = flag.Int("window", 0, "candidate band for the bench reorder block (0 = default 64)")
 		shards       = flag.String("shards", "", "comma-separated shard counts for the bench shard block (default 1,2,4,8)")
@@ -52,25 +50,23 @@ func main() {
 	)
 	flag.Parse()
 
-	if *plan != "" {
-		pm, err := cbm.ParsePlanMode(*plan)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cbm.SetPlanMode(pm)
-	}
-
 	if *checkBench != "" {
 		f, err := os.Open(*checkBench)
 		if err != nil {
 			fatalf("check-bench: %v", err)
 		}
-		_, rerr := experiments.ReadBenchReport(f)
+		report, rerr := experiments.ReadBenchReport(f)
 		if cerr := f.Close(); rerr == nil {
 			rerr = cerr
 		}
 		if rerr != nil {
 			fatalf("check-bench %s: %v", *checkBench, rerr)
+		}
+		if v := experiments.CheckPinnedPlan(report); len(v) > 0 {
+			for _, line := range v {
+				_, _ = fmt.Fprintln(os.Stderr, "cbmbench: check-bench:", line)
+			}
+			fatalf("check-bench %s: %d pinned plan(s) slower than the faster plan by more than 5%% + 2σ", *checkBench, len(v))
 		}
 		outln("check-bench: " + *checkBench + " OK")
 		return

@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +124,20 @@ func TestIntegrationCbmbenchListAndErrors(t *testing.T) {
 	cmd = exec.Command(filepath.Join(tools(t), "cbmbench"), "-exp", "table1", "-datasets", "nope")
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("bogus dataset accepted: %s", out)
+	}
+}
+
+// cbmbench -exp bench measures with a fixed thread count; more threads
+// than GOMAXPROCS would time the scheduler, so it must refuse them.
+func TestIntegrationCbmbenchBenchRefusesOversubscription(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs CLI tools")
+	}
+	cmd := exec.Command(filepath.Join(tools(t), "cbmbench"), "-exp", "bench", "-datasets", "cora",
+		"-threads", strconv.Itoa(runtime.GOMAXPROCS(0)+1), "-bench-out", filepath.Join(t.TempDir(), "b.json"))
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "GOMAXPROCS") {
+		t.Fatalf("oversubscribed bench: err=%v, want a GOMAXPROCS refusal:\n%s", err, out)
 	}
 }
 

@@ -105,7 +105,7 @@ func CompressClustered(a *sparse.CSR, opt Options, copt ClusterOptions) (*Matrix
 		branches: branchDecompose(parent),
 		src:      a,
 	}
-	m.initSchedule()
+	m.pinPlan()
 	return m, stats, cstats, nil
 }
 

@@ -126,7 +126,7 @@ func Decode(r io.Reader) (*Matrix, error) {
 	if covered != n {
 		return nil, fmt.Errorf("cbm: parent pointers contain a cycle (%d of %d rows reachable)", covered, n)
 	}
-	m.initSchedule()
+	m.pinPlan()
 	return m, nil
 }
 

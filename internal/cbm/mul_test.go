@@ -1,12 +1,20 @@
 package cbm
 
 import (
+	"bytes"
+	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/dense"
 	"repro/internal/kernels"
+	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 	"repro/internal/xrand"
 )
@@ -142,9 +150,8 @@ func TestMulVecMatchesMul(t *testing.T) {
 		want := m.Mul(bv)
 		got := m.MulVec(v)
 		for i := range got {
-			diff := float64(got[i] - want.At(i, 0))
-			if diff > 1e-5 || diff < -1e-5 {
-				t.Fatalf("%s: MulVec[%d] = %v, want %v", name, i, got[i], want.At(i, 0))
+			if got[i] != want.At(i, 0) {
+				t.Fatalf("%s: MulVec[%d] = %v, want %v (bitwise)", name, i, got[i], want.At(i, 0))
 			}
 		}
 	}
@@ -198,35 +205,9 @@ func TestScaledVariantPanics(t *testing.T) {
 	}()
 }
 
-func TestColumnBlockStrategyMatchesBranch(t *testing.T) {
-	rng := xrand.New(7)
-	a := synth.SBMGroups(300, 30, 0.85, 0.4, 3)
-	base, _, err := Compress(a, Options{Alpha: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := randomDiag(rng, a.Rows)
-	b := randomDense(rng, a.Rows, 50)
-	for name, m := range map[string]*Matrix{
-		"A":   base,
-		"DAD": base.WithSymmetricScale(d),
-	} {
-		want := dense.New(a.Rows, b.Cols)
-		m.MulTo(want, b, 4)
-		for _, blk := range []int{0, 1, 7, 16, 100} {
-			got := dense.New(a.Rows, b.Cols)
-			m.MulToStrategy(got, b, 4, StrategyBranchColumn, blk)
-			if diff := dense.MaxRelDiff(want, got, 1); diff > 1e-6 {
-				t.Fatalf("%s block=%d: rel diff %v", name, blk, diff)
-			}
-		}
-	}
-}
-
-// StrategyBranchColumn must reproduce StrategyBranch exactly for every
-// kind: both perform the same per-element float operations in the same
-// order, so the results are bitwise equal regardless of how the
-// (branch, column-block) tasks are scheduled.
+// The two-stage plan is bitwise identical to its single-threaded self
+// at any thread count for every kind: every row's update chain lives
+// inside one branch. (TestCSRPlanMatchesReference covers the CSR plan.)
 func TestStrategyEquivalenceAllKinds(t *testing.T) {
 	rng := xrand.New(73)
 	a := synth.SBMGroups(240, 24, 0.85, 0.4, 29)
@@ -243,14 +224,11 @@ func TestStrategyEquivalenceAllKinds(t *testing.T) {
 	} {
 		want := dense.New(a.Rows, b.Cols)
 		m.MulToStrategy(want, b, 1, StrategyBranch, 0)
-		for _, threads := range []int{1, 2, 8} {
-			for _, blk := range []int{1, 7, 64, b.Cols + 1} {
-				got := dense.New(a.Rows, b.Cols)
-				m.MulToStrategy(got, b, threads, StrategyBranchColumn, blk)
-				if !got.Equal(want) {
-					t.Fatalf("%s threads=%d colBlock=%d: not bitwise equal to StrategyBranch",
-						name, threads, blk)
-				}
+		for _, threads := range []int{2, 8} {
+			got := dense.New(a.Rows, b.Cols)
+			m.MulToStrategy(got, b, threads, StrategyBranch, 0)
+			if !got.Equal(want) {
+				t.Fatalf("%s threads=%d: not bitwise equal to threads=1", name, threads)
 			}
 		}
 	}
@@ -284,7 +262,7 @@ func TestMulToStrategyShapePanicMessage(t *testing.T) {
 					t.Fatalf("panic = %v, want %q", r, c.want)
 				}
 			}()
-			m.MulToStrategy(c.c, c.b, 1, StrategyBranchColumn, 0)
+			m.MulToStrategy(c.c, c.b, 1, StrategyBranch, 0)
 		})
 	}
 }
@@ -408,4 +386,296 @@ func TestDescribe(t *testing.T) {
 
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
+}
+
+// An out-of-range strategy value must fail loudly, not silently fall
+// through to some default plan.
+func TestMulToStrategyUnknownPanics(t *testing.T) {
+	a := paperFig1Matrix()
+	m, _, err := Compress(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic for unknown strategy")
+		}
+		msg, ok := r.(string)
+		if !ok || !contains(msg, "unknown update strategy") {
+			t.Fatalf("panic = %v, want unknown-strategy message", r)
+		}
+	}()
+	m.MulToStrategy(dense.New(a.Rows, 2), dense.New(a.Rows, 2), 1, UpdateStrategy(42), 0)
+}
+
+func TestUpdateStrategyString(t *testing.T) {
+	cases := map[UpdateStrategy]string{
+		StrategyBranch:    "branch",
+		StrategyCSR:       "csr",
+		UpdateStrategy(9): "UpdateStrategy(9)",
+	}
+	for s, want := range cases {
+		if got := s.String(); got != want {
+			t.Fatalf("String(%d) = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// MulTo runs the pinned plan: at every thread count it must be bitwise
+// equal to forcing that plan through MulToStrategy and, when the pin
+// is the two-stage plan, to the sequential two-stage reference.
+func TestMulToAutoDispatchBitwiseStable(t *testing.T) {
+	rng := xrand.New(89)
+	d := randomDiag(rng, 350)
+	b := randomDense(rng, 350, 19)
+	for _, a := range []*sparse.CSR{
+		synth.HolmeKim(350, 3, 0.3, 53),        // barely compressible
+		synth.SBMGroups(350, 35, 0.9, 0.3, 53), // compressible
+	} {
+		base, _, err := Compress(a, Options{Alpha: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]*Matrix{
+			"A":   base,
+			"AD":  base.WithColumnScale(d),
+			"DAD": base.WithSymmetricScale(d),
+		} {
+			twoStage := dense.New(a.Rows, b.Cols)
+			m.MulToStrategy(twoStage, b, 1, StrategyBranch, 0)
+			for _, threads := range []int{1, 2, 4, 8} {
+				forced := dense.New(a.Rows, b.Cols)
+				m.MulToStrategy(forced, b, threads, m.Plan(), 0)
+				got := dense.New(a.Rows, b.Cols)
+				m.MulTo(got, b, threads)
+				if !got.Equal(forced) {
+					t.Fatalf("%s threads=%d: MulTo not bitwise equal to forced %v plan", name, threads, m.Plan())
+				}
+				if m.Plan() == StrategyBranch && !got.Equal(twoStage) {
+					t.Fatalf("%s threads=%d: branch plan not bitwise equal to two-stage", name, threads)
+				}
+			}
+		}
+	}
+}
+
+// The plan rule pins the CSR plan exactly when nnz(A) < 1.3·nnz(A′).
+// For every mini-registry analog the pin follows that rule and does
+// not move with the thread count or operand width; the analogs the
+// repository benchmark serves land on the expected sides.
+func TestPlanForDeterministic(t *testing.T) {
+	want := map[string]UpdateStrategy{
+		"cora-mini":          StrategyCSR,
+		"collab-mini":        StrategyBranch,
+		"ogbn-proteins-mini": StrategyBranch,
+	}
+	for _, ds := range bench.MiniRegistry(4) {
+		a := ds.Generate(1)
+		m, _, err := Compress(a, Options{Alpha: ds.Paper.BestAlphaPar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule := StrategyBranch
+		if 10*a.NNZ() < 13*m.NumDeltas() {
+			rule = StrategyCSR
+		}
+		if m.Plan() != rule {
+			t.Fatalf("%s: pinned %v, rule says %v (nnz %d, deltas %d)", ds.Name, m.Plan(), rule, a.NNZ(), m.NumDeltas())
+		}
+		if w, ok := want[ds.Name]; ok && m.Plan() != w {
+			t.Fatalf("%s: pinned %v, want %v", ds.Name, m.Plan(), w)
+		}
+		for _, threads := range []int{1, 2, 4, 8} {
+			for _, cols := range []int{1, 4, 16, 128} {
+				if got := m.PlanFor(threads, cols); got != m.Plan() {
+					t.Fatalf("%s: PlanFor(%d, %d) = %v, pinned %v", ds.Name, threads, cols, got, m.Plan())
+				}
+			}
+		}
+	}
+}
+
+// The plan is a property of the matrix: the scaled views inherit it, a
+// decoded artifact (no source CSR) runs the two-stage plan, and the
+// rule flips exactly at the 1.3 ratio boundary.
+func TestPlanIsPinnedToMatrix(t *testing.T) {
+	rng := xrand.New(97)
+	for _, a := range []*sparse.CSR{
+		synth.HolmeKim(300, 3, 0.3, 67),
+		synth.SBMGroups(300, 30, 0.9, 0.3, 67),
+	} {
+		m, _, err := Compress(a, Options{Alpha: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, e := randomDiag(rng, a.Rows), randomDiag(rng, a.Rows)
+		for name, v := range map[string]*Matrix{
+			"AD":    m.WithColumnScale(d),
+			"DAD":   m.WithSymmetricScale(d),
+			"D1AD2": m.WithScales(d, e),
+		} {
+			if v.Plan() != m.Plan() {
+				t.Fatalf("%s view pinned %v, base %v", name, v.Plan(), m.Plan())
+			}
+		}
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Plan() != StrategyBranch {
+			t.Fatalf("decoded matrix pinned %v, want branch", dec.Plan())
+		}
+	}
+
+	// Forged nnz counts pin the boundary: 13 vs 10 is exactly 1.3.
+	nnz := func(k int) *sparse.CSR {
+		rows := make([][]int32, k)
+		for i := range rows {
+			rows[i] = []int32{int32(i)}
+		}
+		return sparse.FromAdjacency(k, k, rows)
+	}
+	for _, tc := range []struct {
+		src, delta int
+		want       UpdateStrategy
+	}{
+		{12, 10, StrategyCSR},
+		{13, 10, StrategyBranch},
+		{25, 20, StrategyCSR},
+		{26, 20, StrategyBranch},
+		{0, 0, StrategyBranch},
+	} {
+		m := &Matrix{src: nnz(tc.src), delta: nnz(tc.delta)}
+		m.pinPlan()
+		if m.plan != tc.want {
+			t.Fatalf("nnz(A)=%d nnz(A')=%d: pinned %v, want %v", tc.src, tc.delta, m.plan, tc.want)
+		}
+	}
+}
+
+// The CSR plan computes the same product by a different summation
+// order: it must agree with the two-stage reference within float32
+// accumulation tolerance for every kind, and be bitwise identical to
+// itself across thread counts.
+func TestCSRPlanMatchesReference(t *testing.T) {
+	rng := xrand.New(43)
+	a := synth.HolmeKim(400, 3, 0.3, 59)
+	base, _, err := Compress(a, Options{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.HasCSRPlan() {
+		t.Fatal("compressed matrix lost its source CSR")
+	}
+	d := randomDiag(rng, a.Rows)
+	b := randomDense(rng, a.Rows, 17)
+	for name, m := range map[string]*Matrix{
+		"A":   base,
+		"AD":  base.WithColumnScale(d),
+		"DAD": base.WithSymmetricScale(d),
+	} {
+		want := dense.New(a.Rows, b.Cols)
+		m.MulToStrategy(want, b, 1, StrategyBranch, 0)
+		csr1 := dense.New(a.Rows, b.Cols)
+		m.MulToStrategy(csr1, b, 1, StrategyCSR, 0)
+		for i := range want.Data {
+			w, g := float64(want.Data[i]), float64(csr1.Data[i])
+			if diff := math.Abs(w - g); diff > 1e-5+1e-4*math.Abs(w) {
+				t.Fatalf("%s: csr plan diverges at %d: %g vs %g", name, i, g, w)
+			}
+		}
+		for _, threads := range []int{2, 4, 8} {
+			csrT := dense.New(a.Rows, b.Cols)
+			m.MulToStrategy(csrT, b, threads, StrategyCSR, 0)
+			if !csrT.Equal(csr1) {
+				t.Fatalf("%s: csr plan not thread-deterministic at %d threads", name, threads)
+			}
+		}
+	}
+}
+
+// Decoded artifacts drop the source CSR: the CSR plan becomes
+// unavailable (forcing it panics) and MulTo runs the two-stage plan,
+// bitwise equal to the original's two-stage product.
+func TestDecodedMatrixCSRFallback(t *testing.T) {
+	rng := xrand.New(47)
+	a := synth.HolmeKim(300, 3, 0.3, 67)
+	m, _, err := Compress(a, Options{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.HasCSRPlan() {
+		t.Fatal("decoded matrix claims a CSR plan")
+	}
+	b := randomDense(rng, a.Rows, 16)
+	want := dense.New(a.Rows, b.Cols)
+	m.MulToStrategy(want, b, 1, StrategyBranch, 0)
+	got := dense.New(a.Rows, b.Cols)
+	dec.MulTo(got, b, 4)
+	if !got.Equal(want) {
+		t.Fatal("decoded matrix MulTo not bitwise equal to two-stage reference")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("forcing the CSR plan on a decoded matrix must panic")
+		}
+	}()
+	dec.MulToStrategy(got, b, 1, StrategyCSR, 0)
+}
+
+// AutoTune's per-stage split must be scoped to its own measurement.
+// Background goroutines keep update spans open on the GLOBAL obs
+// totals for the whole tune; with global-delta attribution those spans
+// land in the split (about 4× the measured time), so the scoped split
+// must stay within its own multiply's wall time.
+func TestAutoTuneScopedStagesUnderConcurrency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-based")
+	}
+	a := synth.SBMGroups(600, 30, 0.8, 0.4, 101)
+	builder, err := NewBuilder(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				obs.DoWith(obs.Global, obs.StageUpdate, func() { time.Sleep(200 * time.Microsecond) })
+			}
+		}()
+	}
+	_, _, frontier, err := AutoTune(builder, []int{0, 4}, 32, 3, 1, 109)
+	stop.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range frontier {
+		if res.Plan == "" {
+			t.Fatalf("alpha=%d: frontier entry missing the pinned plan", res.Alpha)
+		}
+		// Warmup calls are in the divisor too, so allow 2× for a cold
+		// first call; leaked background spans would add ~4×.
+		if staged := res.SpMMSeconds + res.UpdateSeconds; staged > 2*res.Seconds+1e-4 {
+			t.Fatalf("alpha=%d plan=%s: stages sum to %.4gs for a %.4gs multiply — background spans leaked into the scoped split",
+				res.Alpha, res.Plan, staged, res.Seconds)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,8 +43,11 @@ import (
 // v7 added the ordering strategy name to the reorder block and the
 // sharded block (shard: per shard count, the paired
 // sharded-vs-unsharded CBM MulTo timings plus the partition's halo
-// nonzero total and nnz imbalance).
-const BenchSchema = "cbm-bench/v7"
+// nonzero total and nnz imbalance); v8 removed the fused plan and the
+// fitted selector with it (cbm_fused, fused_speedup, fused_s and
+// selector_speedup are gone) and renamed chosen_plan to plan, the plan
+// pinned to the matrix when it was built.
+const BenchSchema = "cbm-bench/v8"
 
 // BenchTiming is bench.Timing flattened to seconds for JSON.
 type BenchTiming struct {
@@ -57,23 +61,21 @@ func toBenchTiming(t bench.Timing) BenchTiming {
 }
 
 // BenchStageSplit attributes the mean CBM multiplication time to the
-// two pipeline stages of Sec. V-A (zero when obs is disabled).
-// SpMMSeconds/UpdateSeconds come from the forced two-stage run;
-// FusedSeconds is the span of the forced fused single-pass run. Each
-// forced plan runs under its own scoped obs.Recorder, so concurrent
-// activity elsewhere in the process cannot leak into the split.
+// two pipeline stages of Sec. V-A (zero when obs is disabled), from
+// the forced two-stage run. It runs under its own scoped obs.Recorder,
+// so concurrent activity elsewhere in the process cannot leak into the
+// split.
 type BenchStageSplit struct {
 	SpMMSeconds   float64 `json:"spmm_s"`
 	UpdateSeconds float64 `json:"update_s"`
-	FusedSeconds  float64 `json:"fused_s"`
 	// SpMMFraction is spmm/(spmm+update), the headline split number.
 	SpMMFraction float64 `json:"spmm_frac"`
 }
 
 // BenchDataset is one dataset's row of the benchmark report. CBMMul is
-// the production entry point (MulTo, cost-model plan selection);
-// CBMTwoStage and CBMFused force the respective plans so the report
-// isolates what the fusion itself buys.
+// the production entry point (MulTo, pinned plan); CBMTwoStage and
+// CBMCSRPlan force the two plans so the report shows what the pin
+// picked against what it passed over.
 type BenchDataset struct {
 	Name             string      `json:"name"`
 	Nodes            int         `json:"nodes"`
@@ -84,23 +86,16 @@ type BenchDataset struct {
 	CSRSpMM          BenchTiming `json:"csr_spmm"`
 	CBMMul           BenchTiming `json:"cbm_mul"`
 	CBMTwoStage      BenchTiming `json:"cbm_two_stage"`
-	CBMFused         BenchTiming `json:"cbm_fused"`
 	// CBMCSRPlan is the forced StrategyCSR plan — the represented matrix
 	// multiplied directly through the diag-scaled CSR kernel, skipping
 	// the compression tree (v5).
 	CBMCSRPlan BenchTiming `json:"cbm_csr_plan"`
-	// Speedup is CSR SpMM over CBM MulTo; FusedSpeedup is the forced
-	// two-stage plan over the forced fused plan (> 1 means fusion wins).
-	Speedup      float64 `json:"speedup"`
-	FusedSpeedup float64 `json:"fused_speedup"`
-	// ChosenPlan is the plan the calibrated selector picks for this
-	// configuration (cbm.UpdateStrategy string); SelectorSpeedup is the
-	// two-stage reference mean over the chosen plan's measured mean
-	// (> 1 means the selector beat the reference, 1.0 means it chose
-	// the reference itself).
-	ChosenPlan      string          `json:"chosen_plan"`
-	SelectorSpeedup float64         `json:"selector_speedup"`
-	Stages          BenchStageSplit `json:"stage_split"`
+	// Speedup is CSR SpMM over CBM MulTo.
+	Speedup float64 `json:"speedup"`
+	// Plan is the plan pinned to the matrix (cbm.UpdateStrategy
+	// string): "branch" (two-stage) or "csr".
+	Plan   string          `json:"plan"`
+	Stages BenchStageSplit `json:"stage_split"`
 	// Reordered marks that the headline numbers above were measured on
 	// the similarity-permuted graph (Config.Reorder); Reorder is the
 	// always-measured reordering block (v6).
@@ -199,9 +194,14 @@ type BenchReport struct {
 // compresses at the paper's best parallel α, measures CSR SpMM vs. CBM
 // MulTo through bench.Measure (mean ± σ), and attributes the CBM time
 // to the delta-SpMM and tree-update stages via obs span deltas. The
-// result feeds the repository's performance trajectory.
+// result feeds the repository's performance trajectory. It refuses a
+// thread count above GOMAXPROCS: oversubscribed timings measure the
+// scheduler, not the kernels.
 func BenchJSON(cfg Config) (*BenchReport, error) {
 	cfg = cfg.Defaults()
+	if g := runtime.GOMAXPROCS(0); cfg.Threads > g {
+		return nil, fmt.Errorf("experiments: bench threads %d exceed GOMAXPROCS %d", cfg.Threads, g)
+	}
 	ds, err := cfg.datasets()
 	if err != nil {
 		return nil, err
@@ -246,25 +246,22 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 
 		tCSR := bench.Measure(cfg.Reps, cfg.Warmup, func() { kernels.SpMMTo(c, a, b, cfg.Threads) })
 		tCBM := bench.Measure(cfg.Reps, cfg.Warmup, func() { m.MulTo(c, b, cfg.Threads) })
-		// The three forced plans are measured in one interleaved rotation
-		// so machine drift cannot masquerade as a plan difference. Each
-		// plan runs under its own scoped obs.Recorder (the CSR plan also
-		// records StageSpMM, so one shared bracket would conflate it with
-		// the two-stage split).
-		recTwo, recFused := obs.NewRecorder(), obs.NewRecorder()
+		// The two forced plans are measured in one interleaved rotation
+		// so machine drift cannot masquerade as a plan difference. The
+		// two-stage plan runs under its own scoped obs.Recorder (the CSR
+		// plan also records StageSpMM, so one shared bracket would
+		// conflate it with the two-stage split).
+		recTwo := obs.NewRecorder()
 		ctxTwo := exec.NewWithSink(cfg.Threads, recTwo)
-		ctxFused := exec.NewWithSink(cfg.Threads, recFused)
 		tms := bench.MeasureInterleaved(cfg.Reps, cfg.Warmup,
 			func() { m.MulToStrategyCtx(ctxTwo, c, b, cbm.StrategyBranch, 0) },
-			func() { m.MulToStrategyCtx(ctxFused, c, b, cbm.StrategyFused, 0) },
 			func() { m.MulToStrategy(c, b, cfg.Threads, cbm.StrategyCSR, 0) },
 		)
-		tTwoStage, tFused, tCSRPlan := tms[0], tms[1], tms[2]
+		tTwoStage, tCSRPlan := tms[0], tms[1]
 
 		calls := float64(cfg.Reps + cfg.Warmup)
 		spmmS := recTwo.StageSeconds(obs.StageSpMM) / calls
 		updS := recTwo.StageSeconds(obs.StageUpdate) / calls
-		fusedS := recFused.StageSeconds(obs.StageFused) / calls
 		frac := 0.0
 		if spmmS+updS > 0 {
 			frac = spmmS / (spmmS + updS)
@@ -272,22 +269,6 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 		speedup := math.NaN()
 		if tCBM.Seconds() > 0 {
 			speedup = tCSR.Seconds() / tCBM.Seconds()
-		}
-		fusedSpeedup := math.NaN()
-		if tFused.Seconds() > 0 {
-			fusedSpeedup = tTwoStage.Seconds() / tFused.Seconds()
-		}
-		chosen := m.PlanFor(cfg.Threads, cfg.Cols)
-		chosenMean := tTwoStage.Seconds()
-		switch chosen {
-		case cbm.StrategyFused:
-			chosenMean = tFused.Seconds()
-		case cbm.StrategyCSR:
-			chosenMean = tCSRPlan.Seconds()
-		}
-		selectorSpeedup := math.NaN()
-		if chosenMean > 0 {
-			selectorSpeedup = tTwoStage.Seconds() / chosenMean
 		}
 		inference, err := benchInference(a, opt, cfg, rng)
 		if err != nil {
@@ -307,16 +288,12 @@ func BenchJSON(cfg Config) (*BenchReport, error) {
 			CSRSpMM:          toBenchTiming(tCSR),
 			CBMMul:           toBenchTiming(tCBM),
 			CBMTwoStage:      toBenchTiming(tTwoStage),
-			CBMFused:         toBenchTiming(tFused),
 			CBMCSRPlan:       toBenchTiming(tCSRPlan),
 			Speedup:          speedup,
-			FusedSpeedup:     fusedSpeedup,
-			ChosenPlan:       chosen.String(),
-			SelectorSpeedup:  selectorSpeedup,
+			Plan:             m.Plan().String(),
 			Stages: BenchStageSplit{
 				SpMMSeconds:   spmmS,
 				UpdateSeconds: updS,
-				FusedSeconds:  fusedS,
 				SpMMFraction:  frac,
 			},
 			Reordered: cfg.Reorder,
@@ -409,7 +386,7 @@ func benchShard(a *sparse.CSR, opt cbm.Options, cfg Config, b, c *dense.Matrix) 
 	out := make([]BenchShard, 0, len(cfg.ShardCounts))
 	for _, shards := range cfg.ShardCounts {
 		sb, err := gnn.NewShardedCBMBackend(a,
-			shard.Options{Shards: shards, CBM: opt, ColsHint: cfg.Cols}, cfg.ShardOrder)
+			shard.Options{Shards: shards, CBM: opt}, cfg.ShardOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -625,19 +602,11 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 			return nil, fmt.Errorf("experiments: bench report entry %+v is incomplete", d)
 		}
 		if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 ||
-			d.CBMTwoStage.MeanSeconds <= 0 || d.CBMFused.MeanSeconds <= 0 ||
-			d.CBMCSRPlan.MeanSeconds <= 0 {
+			d.CBMTwoStage.MeanSeconds <= 0 || d.CBMCSRPlan.MeanSeconds <= 0 {
 			return nil, fmt.Errorf("experiments: bench report entry %s has non-positive timings", d.Name)
 		}
-		switch d.ChosenPlan {
-		case cbm.StrategyBranch.String(), cbm.StrategyFused.String(), cbm.StrategyCSR.String():
-		default:
-			return nil, fmt.Errorf("experiments: bench report entry %s has unknown chosen_plan %q",
-				d.Name, d.ChosenPlan)
-		}
-		if !(d.SelectorSpeedup > 0) {
-			return nil, fmt.Errorf("experiments: bench report entry %s has non-positive selector_speedup %v",
-				d.Name, d.SelectorSpeedup)
+		if _, err := d.pinnedTiming(); err != nil {
+			return nil, err
 		}
 		re := d.Reorder
 		if re.Window <= 0 || re.BuildSeconds < 0 ||
@@ -683,12 +652,56 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 	return &report, nil
 }
 
+// pinnedTiming returns the forced-plan timing of the dataset's pinned
+// plan, or an error when the plan is not one the matrix can pin.
+func (d BenchDataset) pinnedTiming() (BenchTiming, error) {
+	switch d.Plan {
+	case cbm.StrategyBranch.String():
+		return d.CBMTwoStage, nil
+	case cbm.StrategyCSR.String():
+		return d.CBMCSRPlan, nil
+	}
+	return BenchTiming{}, fmt.Errorf("experiments: bench report entry %s has plan %q, want %q or %q",
+		d.Name, d.Plan, cbm.StrategyBranch, cbm.StrategyCSR)
+}
+
+// pinnedPlanSlack is the relative slack of CheckPinnedPlan, on top of
+// two standard deviations of noise.
+const pinnedPlanSlack = 0.05
+
+// CheckPinnedPlan is the measured check of the plan rule: on every
+// dataset of a validated report, the pinned plan's forced-plan mean
+// must be within 5% + 2σ of the faster of the two forced plans, where
+// σ is the pinned and the faster plan's standard deviations summed. It
+// returns one line per violation.
+func CheckPinnedPlan(r *BenchReport) []string {
+	var violations []string
+	for _, d := range r.Datasets {
+		pinned, err := d.pinnedTiming()
+		if err != nil {
+			violations = append(violations, err.Error())
+			continue
+		}
+		best, bestName := d.CBMTwoStage, cbm.StrategyBranch.String()
+		if d.CBMCSRPlan.MeanSeconds < best.MeanSeconds {
+			best, bestName = d.CBMCSRPlan, cbm.StrategyCSR.String()
+		}
+		budget := best.MeanSeconds*(1+pinnedPlanSlack) + 2*(pinned.StdSeconds+best.StdSeconds)
+		if pinned.MeanSeconds > budget {
+			violations = append(violations, fmt.Sprintf(
+				"%s: pinned plan %s %.4gs exceeds budget %.4gs (faster plan %s %.4gs)",
+				d.Name, d.Plan, pinned.MeanSeconds, budget, bestName, best.MeanSeconds))
+		}
+	}
+	return violations
+}
+
 // WriteBench renders the report as a human-readable table (the stdout
 // companion of the JSON file).
 func WriteBench(w io.Writer, r *BenchReport) {
 	t := &bench.Table{Header: []string{
 		"Graph", "Alpha", "ratio", "CSR SpMM", "CBM Mul", "spd",
-		"2stage", "fused", "csrplan", "fspd", "plan", "sspd",
+		"2stage", "csrplan", "plan",
 		"spmm_s", "update_s", "spmm%",
 	}}
 	for _, d := range r.Datasets {
@@ -699,11 +712,8 @@ func WriteBench(w io.Writer, r *BenchReport) {
 			fmt.Sprintf("%.4f (± %.4f)", d.CBMMul.MeanSeconds, d.CBMMul.StdSeconds),
 			fmt.Sprintf("%.2f", d.Speedup),
 			fmt.Sprintf("%.4f", d.CBMTwoStage.MeanSeconds),
-			fmt.Sprintf("%.4f", d.CBMFused.MeanSeconds),
 			fmt.Sprintf("%.4f", d.CBMCSRPlan.MeanSeconds),
-			fmt.Sprintf("%.2f", d.FusedSpeedup),
-			d.ChosenPlan,
-			fmt.Sprintf("%.2f", d.SelectorSpeedup),
+			d.Plan,
 			fmt.Sprintf("%.4f", d.Stages.SpMMSeconds),
 			fmt.Sprintf("%.4f", d.Stages.UpdateSeconds),
 			fmt.Sprintf("%.0f%%", 100*d.Stages.SpMMFraction),

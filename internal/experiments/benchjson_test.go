@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestBenchJSONRoundTrip(t *testing.T) {
 	obs.Enable()
-	cfg := Config{Seed: 1, Threads: 2, Cols: 8, Reps: 2, Warmup: 1, Datasets: []string{"cora"}}
+	cfg := Config{Seed: 1, Threads: min(2, runtime.GOMAXPROCS(0)), Cols: 8, Reps: 2, Warmup: 1, Datasets: []string{"cora"}}
 	r, err := BenchJSON(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -23,31 +24,23 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	if d.Name != "cora" || d.Nodes <= 0 || d.Edges <= 0 {
 		t.Fatalf("dataset row incomplete: %+v", d)
 	}
-	if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 ||
-		d.CBMTwoStage.MeanSeconds <= 0 || d.CBMFused.MeanSeconds <= 0 {
+	if d.CBMMul.MeanSeconds <= 0 || d.CSRSpMM.MeanSeconds <= 0 || d.CBMTwoStage.MeanSeconds <= 0 {
 		t.Fatalf("non-positive timings: %+v", d)
 	}
 	if d.CBMMul.Reps != 2 {
 		t.Fatalf("reps = %d, want 2", d.CBMMul.Reps)
 	}
-	if d.FusedSpeedup <= 0 {
-		t.Fatalf("fused speedup %v not positive", d.FusedSpeedup)
-	}
 	if d.CBMCSRPlan.MeanSeconds <= 0 {
 		t.Fatalf("csr plan timing not positive: %+v", d.CBMCSRPlan)
 	}
-	switch d.ChosenPlan {
-	case "branch", "fused", "csr":
-	default:
-		t.Fatalf("chosen plan %q is not a selectable strategy", d.ChosenPlan)
-	}
-	if d.SelectorSpeedup <= 0 {
-		t.Fatalf("selector speedup %v not positive", d.SelectorSpeedup)
+	// The cora analog does not compress (nnz(A) ≈ nnz(A′)), so the
+	// CSR plan is pinned.
+	if d.Plan != "csr" {
+		t.Fatalf("plan %q, want csr on cora", d.Plan)
 	}
 	// obs is enabled, so the split must attribute real time to both
-	// two-stage stages and to the fused pass, and the fraction must be
-	// a sane ratio.
-	if d.Stages.SpMMSeconds <= 0 || d.Stages.UpdateSeconds <= 0 || d.Stages.FusedSeconds <= 0 {
+	// two-stage stages, and the fraction must be a sane ratio.
+	if d.Stages.SpMMSeconds <= 0 || d.Stages.UpdateSeconds <= 0 {
 		t.Fatalf("stage split empty with obs enabled: %+v", d.Stages)
 	}
 	if d.Stages.SpMMFraction <= 0 || d.Stages.SpMMFraction >= 1 {
@@ -143,7 +136,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 }
 
 func TestBenchJSONReorderedHeadline(t *testing.T) {
-	cfg := Config{Seed: 1, Threads: 2, Cols: 8, Reps: 2, Warmup: 1,
+	cfg := Config{Seed: 1, Threads: min(2, runtime.GOMAXPROCS(0)), Cols: 8, Reps: 2, Warmup: 1,
 		Datasets: []string{"cora"}, Reorder: true, ReorderWindow: 32}
 	r, err := BenchJSON(cfg)
 	if err != nil {
@@ -170,10 +163,10 @@ func TestBenchJSONReorderedHeadline(t *testing.T) {
 
 func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 	// timings is a complete, valid per-plan timing block plus valid
-	// reorder and shard blocks (v7), so each rejection case below trips
+	// reorder and shard blocks (v8), so each rejection case below trips
 	// exactly the validator it names.
 	const timings = `"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-		`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+		`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 		`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 		`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
 		`"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":1}]`
@@ -185,63 +178,95 @@ func TestReadBenchReportRejectsBadDocuments(t *testing.T) {
 		"stale v4":     `{"schema":"cbm-bench/v4","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v5":     `{"schema":"cbm-bench/v5","datasets":[{"name":"x","nodes":1}]}`,
 		"stale v6":     `{"schema":"cbm-bench/v6","datasets":[{"name":"x","nodes":1}]}`,
-		"no datasets":  `{"schema":"cbm-bench/v7","datasets":[]}`,
+		"stale v7":     `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1}]}`,
+		"no datasets":  `{"schema":"cbm-bench/v8","datasets":[]}`,
 		"not json":     `{`,
-		"unknown keys": `{"schema":"cbm-bench/v7","bogus":1,"datasets":[]}`,
-		"no csr plan timing": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
-			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},"cbm_fused":{"mean_s":1},` +
-			`"chosen_plan":"fused","selector_speedup":1}]}`,
-		"unknown chosen plan": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"unknown keys": `{"schema":"cbm-bench/v8","bogus":1,"datasets":[]}`,
+		"no csr plan timing": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"warp","selector_speedup":1}]}`,
-		"missing chosen plan": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+			`"plan":"branch"}]}`,
+		"unknown plan": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"selector_speedup":1}]}`,
-		"non-positive selector speedup": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"warp"}]}`,
+		"deleted fused plan": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"csr","selector_speedup":0}]}`,
-		"no reorder block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"fused"}]}`,
+		"missing plan": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1}]}`,
-		"zero-window reorder block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+			`"cbm_csr_plan":{"mean_s":1}}]}`,
+		"v7 field": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch","selector_speedup":1}]}`,
+		"no reorder block": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
+			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch"}]}`,
+		"zero-window reorder block": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
+			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"minhash","window":0,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"non-positive reordered ratio": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"non-positive reordered ratio": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":0,"spmm_speedup":1}}]}`,
-		"unknown reorder strategy": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"unknown reorder strategy": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"zcurve","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"no shard block": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"no shard block": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1}}]}`,
-		"non-positive sharded timing": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"non-positive sharded timing": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
 			`"shard":[{"shards":2,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":0},"speedup":1}]}]}`,
-		"single-shard halo": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` +
+		"single-shard halo": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` +
 			`"csr_spmm":{"mean_s":1},"cbm_mul":{"mean_s":1},"cbm_two_stage":{"mean_s":1},` +
-			`"cbm_fused":{"mean_s":1},"cbm_csr_plan":{"mean_s":1},"chosen_plan":"fused","selector_speedup":1,` +
+			`"cbm_csr_plan":{"mean_s":1},"plan":"branch",` +
 			`"reorder":{"strategy":"minhash","window":64,"buckets":1,"build_s":0,"ratio_exact":1,` +
 			`"ratio_window_raw":1,"ratio_window_reordered":1,"spmm_speedup":1},` +
 			`"shard":[{"shards":1,"unsharded_mul":{"mean_s":1},"sharded_mul":{"mean_s":1},"speedup":1,"halo_nnz":3}]}]}`,
-		"no inference": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` + timings + `}]}`,
-		"no batched serving": `{"schema":"cbm-bench/v7","datasets":[{"name":"x","nodes":1,` + timings + `,` +
+		"no inference": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` + timings + `}]}`,
+		"no batched serving": `{"schema":"cbm-bench/v8","datasets":[{"name":"x","nodes":1,` + timings + `,` +
 			`"inference":[{"concurrency":1,` +
 			`"csr":{"requests":1,"mean_s":1,"p99_s":1},"cbm":{"requests":1,"mean_s":1,"p99_s":1},"speedup":1}]}]}`,
 	} {
 		if _, err := ReadBenchReport(strings.NewReader(doc)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
+	}
+}
+
+// A thread count above GOMAXPROCS oversubscribes the machine, so the
+// bench refuses it before measuring anything.
+func TestBenchJSONRefusesOversubscription(t *testing.T) {
+	cfg := Config{Threads: runtime.GOMAXPROCS(0) + 1, Cols: 8, Reps: 1, Datasets: []string{"cora"}}
+	if _, err := BenchJSON(cfg); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Fatalf("BenchJSON(threads=GOMAXPROCS+1) = %v, want a GOMAXPROCS refusal", err)
+	}
+}
+
+func TestCheckPinnedPlan(t *testing.T) {
+	timing := func(mean, std float64) BenchTiming { return BenchTiming{MeanSeconds: mean, StdSeconds: std} }
+	r := &BenchReport{Datasets: []BenchDataset{
+		// The pinned plan is the faster one.
+		{Name: "fast-branch", Plan: "branch", CBMTwoStage: timing(1, 0), CBMCSRPlan: timing(2, 0)},
+		// Slower, but within 5%.
+		{Name: "near-csr", Plan: "csr", CBMTwoStage: timing(1, 0), CBMCSRPlan: timing(1.04, 0)},
+		// 20% slower, but inside 2σ of noise.
+		{Name: "noisy", Plan: "csr", CBMTwoStage: timing(1, 0.05), CBMCSRPlan: timing(1.2, 0.05)},
+		// 20% slower with tight timings: a violation.
+		{Name: "slow", Plan: "branch", CBMTwoStage: timing(1.2, 0.01), CBMCSRPlan: timing(1, 0.01)},
+		{Name: "bogus", Plan: "fused", CBMTwoStage: timing(1, 0), CBMCSRPlan: timing(1, 0)},
+	}}
+	v := CheckPinnedPlan(r)
+	if len(v) != 2 || !strings.HasPrefix(v[0], "slow:") || !strings.Contains(v[1], "bogus") {
+		t.Fatalf("violations = %q, want exactly slow and bogus", v)
 	}
 }

@@ -101,18 +101,18 @@ func TestDoWith(t *testing.T) {
 	Reset()
 	rec := NewRecorder()
 	ran := false
-	DoWith(rec, StageFused, func() { ran = true })
+	DoWith(rec, StageReorder, func() { ran = true })
 	if !ran {
 		t.Fatal("DoWith did not run the region")
 	}
-	if c, _ := rec.StageTotals(StageFused); c != 1 {
-		t.Fatalf("DoWith recorded %d fused spans on the recorder, want 1", c)
+	if c, _ := rec.StageTotals(StageReorder); c != 1 {
+		t.Fatalf("DoWith recorded %d reorder spans on the recorder, want 1", c)
 	}
-	if gc, _ := StageTotals(StageFused); gc != 1 {
-		t.Fatalf("DoWith recorded %d fused spans globally, want 1", gc)
+	if gc, _ := StageTotals(StageReorder); gc != 1 {
+		t.Fatalf("DoWith recorded %d reorder spans globally, want 1", gc)
 	}
-	DoWith(Nop, StageFused, func() {})
-	if gc, _ := StageTotals(StageFused); gc != 1 {
+	DoWith(Nop, StageReorder, func() {})
+	if gc, _ := StageTotals(StageReorder); gc != 1 {
 		t.Fatalf("NopSink DoWith leaked a span into the global totals (%d)", gc)
 	}
 }

@@ -63,42 +63,52 @@ func CheckTreeReconstruction(a *sparse.CSR, m *cbm.Matrix) error {
 }
 
 // CheckMulVecConsistency verifies the matrix-vector path against the
-// matrix-matrix path: M·v must match M·B for B the single-column matrix
-// holding v, and MulVecParallel must be bitwise identical to MulVec
-// (per-element operation order does not depend on the thread count).
-func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int, tol Tolerance) error {
+// matrix-matrix path: MulVec and MulVecParallel must be bitwise equal
+// to MulTo on the single-column matrix holding v — both run the same
+// pinned plan on the same one-column operand.
+func CheckMulVecConsistency(m *cbm.Matrix, v []float32, threads int) error {
 	n := m.Rows()
 	if len(v) != n {
 		panic(fmt.Sprintf("oracle: CheckMulVecConsistency vector length mismatch: len(v)=%d, want %d", len(v), n))
 	}
-	y := m.MulVec(v)
 	b := dense.New(n, 1)
 	copy(b.Data, v)
 	c := dense.New(n, 1)
 	m.MulTo(c, b, 1)
-	if d := CompareVec(y, c.Data, tol); d != nil {
-		return fmt.Errorf("MulVec vs single-column MulTo: %w", d)
-	}
-	par := m.MulVecParallel(v, threads)
-	for i := range y {
-		if par[i] != y[i] {
-			return fmt.Errorf("MulVecParallel(threads=%d) not bitwise equal to MulVec at [%d]: %v vs %v",
-				threads, i, par[i], y[i])
+	for _, got := range []struct {
+		name string
+		y    []float32
+	}{
+		{"MulVec", m.MulVec(v)},
+		{fmt.Sprintf("MulVecParallel(threads=%d)", threads), m.MulVecParallel(v, threads)},
+	} {
+		if err := bitwiseVec(got.y, c.Data); err != nil {
+			return fmt.Errorf("%s vs single-column MulTo: %w", got.name, err)
 		}
 	}
 	return nil
 }
 
-// CheckStrategyEquivalence verifies every execution plan against
-// single-threaded StrategyBranch. The CBM-family plans perform the
-// same per-element operations in the same order, so they must match
-// bitwise: StrategyBranchColumn for every (threads, colBlock) pair and
-// StrategyFused for every thread count. StrategyCSR (when available)
-// sums the original matrix's row directly instead of delta+tree, so it
-// is held to the Loose floating-point tolerance — plus a bitwise
-// thread-determinism check of its own. The auto-dispatching MulTo must
-// be bitwise identical to whatever plan PlanFor says it picks.
-func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList, colBlocks []int) error {
+// bitwiseVec returns nil when got and want are bitwise equal, else the
+// first differing element.
+func bitwiseVec(got, want []float32) error {
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("not bitwise equal at [%d]: %v vs %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// CheckStrategyEquivalence verifies both execution plans across thread
+// counts. Each plan must be bitwise thread-invariant: the two-stage
+// plan because every row's update chain lives inside one branch, the
+// CSR plan (when available) because every output row is one thread's
+// sequential sum. The CSR plan sums the original matrix's row directly
+// instead of delta+tree, so against the two-stage plan it is held to
+// the Loose floating-point tolerance only. MulTo must be bitwise
+// identical to the matrix's pinned plan.
+func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList []int) error {
 	want := dense.New(m.Rows(), b.Cols)
 	m.MulToStrategy(want, b, 1, cbm.StrategyBranch, 0)
 	got := dense.New(m.Rows(), b.Cols)
@@ -110,38 +120,30 @@ func CheckStrategyEquivalence(m *cbm.Matrix, b *dense.Matrix, threadsList, colBl
 			return fmt.Errorf("strategy equivalence (csr vs two-stage, threads=1): %w", d)
 		}
 	}
+	ref := want
+	if m.Plan() == cbm.StrategyCSR {
+		ref = csrWant
+	}
+	if ref == nil {
+		return fmt.Errorf("strategy equivalence: pinned plan %v but the CSR plan is unavailable", m.Plan())
+	}
 	for _, threads := range threadsList {
-		for _, blk := range colBlocks {
-			m.MulToStrategy(got, b, threads, cbm.StrategyBranchColumn, blk)
-			if !got.Equal(want) {
-				d := Compare(got, want, Tolerance{})
-				return fmt.Errorf("strategy equivalence (branch-column, threads=%d colBlock=%d): %w", threads, blk, d)
-			}
-		}
-		m.MulToStrategy(got, b, threads, cbm.StrategyFused, 0)
+		m.MulToStrategy(got, b, threads, cbm.StrategyBranch, 0)
 		if !got.Equal(want) {
 			d := Compare(got, want, Tolerance{})
-			return fmt.Errorf("strategy equivalence (fused, threads=%d): %w", threads, d)
+			return fmt.Errorf("strategy equivalence (two-stage not thread-invariant, threads=%d): %w", threads, d)
 		}
 		if csrWant != nil {
 			m.MulToStrategy(got, b, threads, cbm.StrategyCSR, 0)
 			if !got.Equal(csrWant) {
 				d := Compare(got, csrWant, Tolerance{})
-				return fmt.Errorf("strategy equivalence (csr not thread-deterministic, threads=%d): %w", threads, d)
+				return fmt.Errorf("strategy equivalence (csr not thread-invariant, threads=%d): %w", threads, d)
 			}
-		}
-		plan := m.PlanFor(threads, b.Cols)
-		ref := want
-		if plan == cbm.StrategyCSR {
-			ref = csrWant
-		}
-		if ref == nil {
-			return fmt.Errorf("strategy equivalence: PlanFor picked %v but the CSR plan is unavailable", plan)
 		}
 		m.MulTo(got, b, threads)
 		if !got.Equal(ref) {
 			d := Compare(got, ref, Tolerance{})
-			return fmt.Errorf("strategy equivalence (auto MulTo vs %v plan, threads=%d): %w", plan, threads, d)
+			return fmt.Errorf("strategy equivalence (MulTo vs pinned %v plan, threads=%d): %w", m.Plan(), threads, d)
 		}
 	}
 	return nil

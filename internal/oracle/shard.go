@@ -37,7 +37,7 @@ func CheckShardEquivalence(a *sparse.CSR, b *dense.Matrix, shards, threads int, 
 	if b.Rows != a.Rows {
 		panic(fmt.Sprintf("oracle: CheckShardEquivalence operand has %d rows, want %d", b.Rows, a.Rows))
 	}
-	sa, stats, err := shard.New(a, shard.Options{Shards: shards, CBM: opt, ColsHint: b.Cols})
+	sa, stats, err := shard.New(a, shard.Options{Shards: shards, CBM: opt})
 	if err != nil {
 		return fmt.Errorf("shard equivalence: build: %w", err)
 	}

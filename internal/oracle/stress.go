@@ -36,15 +36,13 @@ func (c StressConfig) normalized() StressConfig {
 	return c
 }
 
-// StressMatrix runs cfg.Iters rounds in which MulParallel,
-// MulToStrategy(StrategyBranchColumn), MulToStrategy(StrategyFused) and
-// MulVecParallel execute concurrently on m with independently
-// randomized thread counts and column-block widths, each checked
-// bitwise against the sequential result of its own plan family: the
-// tree plans against forced two-stage, the auto MulParallel against
-// whatever plan the selector names for that thread count (the CSR plan
-// is only loose-equivalent to the tree plans, so it gets its own
-// sequential reference). The first discrepancy is returned.
+// StressMatrix runs cfg.Iters rounds in which MulParallel, the forced
+// two-stage and CSR plans, and MulVecParallel execute concurrently on
+// m with independently randomized thread counts, each checked bitwise
+// against its own sequential reference: the forced plans against
+// themselves at one thread, MulParallel against the pinned plan's
+// reference, and MulVecParallel against a one-column MulTo. The first
+// discrepancy is returned.
 func StressMatrix(m *cbm.Matrix, b *dense.Matrix, v []float32, cfg StressConfig) error {
 	cfg = cfg.normalized()
 	rng := xrand.New(cfg.Seed)
@@ -55,49 +53,49 @@ func StressMatrix(m *cbm.Matrix, b *dense.Matrix, v []float32, cfg StressConfig)
 		csrWant = dense.New(m.Rows(), b.Cols)
 		m.MulToStrategy(csrWant, b, 1, cbm.StrategyCSR, 0)
 	}
-	wantY := m.MulVec(v)
+	pinned := wantC
+	if m.Plan() == cbm.StrategyCSR {
+		pinned = csrWant
+	}
+	if pinned == nil {
+		return fmt.Errorf("stress: pinned plan %v but the CSR plan is unavailable", m.Plan())
+	}
+	vb := dense.New(m.Rows(), 1)
+	copy(vb.Data, v)
+	wantY := dense.New(m.Rows(), 1)
+	m.MulTo(wantY, vb, 1)
 	for it := 0; it < cfg.Iters; it++ {
 		t1 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t2 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t3 := 2 + rng.Intn(cfg.MaxThreads-1)
 		t4 := 2 + rng.Intn(cfg.MaxThreads-1)
-		blk := 1 + rng.Intn(b.Cols+8)
 		var e1, e2, e3, e4 error
 		parallel.Do(
 			func() {
-				ref := wantC
-				if plan := m.PlanFor(t1, b.Cols); plan == cbm.StrategyCSR {
-					ref = csrWant
+				if got := m.MulParallel(b, t1); !got.Equal(pinned) {
+					e1 = fmt.Errorf("MulParallel(threads=%d): %w", t1, Compare(got, pinned, Tolerance{}))
 				}
-				if ref == nil {
-					e1 = fmt.Errorf("MulParallel(threads=%d): selector picked the CSR plan but it is unavailable", t1)
+			},
+			func() {
+				got := dense.New(m.Rows(), b.Cols)
+				m.MulToStrategy(got, b, t2, cbm.StrategyBranch, 0)
+				if !got.Equal(wantC) {
+					e2 = fmt.Errorf("MulToStrategy(two-stage, threads=%d): %w", t2, Compare(got, wantC, Tolerance{}))
+				}
+			},
+			func() {
+				if err := bitwiseVec(m.MulVecParallel(v, t3), wantY.Data); err != nil {
+					e3 = fmt.Errorf("MulVecParallel(threads=%d) vs one-column MulTo: %w", t3, err)
+				}
+			},
+			func() {
+				if csrWant == nil {
 					return
 				}
-				if got := m.MulParallel(b, t1); !got.Equal(ref) {
-					e1 = fmt.Errorf("MulParallel(threads=%d): %w", t1, Compare(got, ref, Tolerance{}))
-				}
-			},
-			func() {
 				got := dense.New(m.Rows(), b.Cols)
-				m.MulToStrategy(got, b, t2, cbm.StrategyBranchColumn, blk)
-				if !got.Equal(wantC) {
-					e2 = fmt.Errorf("MulToStrategy(threads=%d colBlock=%d): %w", t2, blk, Compare(got, wantC, Tolerance{}))
-				}
-			},
-			func() {
-				got := m.MulVecParallel(v, t3)
-				for i := range got {
-					if got[i] != wantY[i] {
-						e3 = fmt.Errorf("MulVecParallel(threads=%d) at [%d]: %v vs %v", t3, i, got[i], wantY[i])
-						return
-					}
-				}
-			},
-			func() {
-				got := dense.New(m.Rows(), b.Cols)
-				m.MulToStrategy(got, b, t4, cbm.StrategyFused, 0)
-				if !got.Equal(wantC) {
-					e4 = fmt.Errorf("MulToStrategy(fused, threads=%d): %w", t4, Compare(got, wantC, Tolerance{}))
+				m.MulToStrategy(got, b, t4, cbm.StrategyCSR, 0)
+				if !got.Equal(csrWant) {
+					e4 = fmt.Errorf("MulToStrategy(csr, threads=%d): %w", t4, Compare(got, csrWant, Tolerance{}))
 				}
 			},
 		)

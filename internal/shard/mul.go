@@ -57,7 +57,7 @@ func (a *ShardedAdjacency) NumShards() int { return len(a.parts) }
 func (a *ShardedAdjacency) Bounds(s int) (lo, hi int) { return a.parts[s].lo, a.parts[s].hi }
 
 // Plan returns shard s's pinned execution plan.
-func (a *ShardedAdjacency) Plan(s int) cbm.UpdateStrategy { return a.parts[s].plan }
+func (a *ShardedAdjacency) Plan(s int) cbm.UpdateStrategy { return a.parts[s].intra.Plan() }
 
 // Frontier returns shard s's sorted out-of-block column ids
 // (read-only by convention).
@@ -214,7 +214,7 @@ func (a *ShardedAdjacency) runShard(ls *lease, s int, c, b *dense.Matrix, sink o
 	bs.Data = b.Data[p.lo*b.Cols : p.hi*b.Cols : p.hi*b.Cols]
 
 	sp := sink.Begin(obs.StageShard)
-	p.intra.MulToStrategyCtx(sctx, cs, bs, p.plan, 0)
+	p.intra.MulToCtx(sctx, cs, bs)
 	sp.End()
 
 	if len(p.frontier) == 0 {

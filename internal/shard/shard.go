@@ -17,10 +17,6 @@ type Options struct {
 	Shards int
 	// CBM configures the per-shard intra-block compression.
 	CBM cbm.Options
-	// ColsHint is the operand width the per-shard plan is pinned for at
-	// build time (the plan must not vary per call, or thread-count
-	// invariance would hinge on the selector). Default 64.
-	ColsHint int
 	// ByRows selects the equal-row-count partition instead of the
 	// default nnz-balanced cut (benchmarks and tests).
 	ByRows bool
@@ -42,16 +38,14 @@ type Stats struct {
 	// ImbalancePermille is 1000·(max shard nnz − mean)/mean over the
 	// shards' total (intra+halo) nonzeros; 0 is a perfectly balanced cut.
 	ImbalancePermille int64
-	// Plans are the pinned per-shard execution plans.
-	Plans []cbm.UpdateStrategy
 }
 
-// shardPart is one row block's execution state: the intra-block CBM,
-// the pinned plan, and the halo remainder over the shard's frontier.
+// shardPart is one row block's execution state: the intra-block CBM
+// (carrying its pinned plan) and the halo remainder over the shard's
+// frontier.
 type shardPart struct {
 	lo, hi   int
 	intra    *cbm.Matrix
-	plan     cbm.UpdateStrategy
 	frontier []int32     // sorted global columns outside [lo,hi) with entries in this block's rows
 	halo     *sparse.CSR // (hi−lo) × len(frontier), columns compacted to frontier order
 }
@@ -92,10 +86,6 @@ func NewFromPartition(a *sparse.CSR, part Partition, opt Options) (*ShardedAdjac
 }
 
 func newFromPartition(na *graph.NormalizedAdjacency, part Partition, opt Options) (*ShardedAdjacency, Stats, error) {
-	colsHint := opt.ColsHint
-	if colsHint <= 0 {
-		colsHint = 64
-	}
 	n := na.Binary.Rows
 	shards := part.NumShards()
 	stats := Stats{
@@ -104,7 +94,6 @@ func newFromPartition(na *graph.NormalizedAdjacency, part Partition, opt Options
 		IntraNNZ: make([]int, shards),
 		HaloNNZ:  make([]int, shards),
 		Frontier: make([]int, shards),
-		Plans:    make([]cbm.UpdateStrategy, shards),
 	}
 	sa := &ShardedAdjacency{n: n, parts: make([]shardPart, shards)}
 	// compact[globalCol] = frontier position, rebuilt per shard.
@@ -120,14 +109,12 @@ func newFromPartition(na *graph.NormalizedAdjacency, part Partition, opt Options
 			return nil, Stats{}, fmt.Errorf("shard %d [%d,%d): %w", s, lo, hi, err)
 		}
 		p.intra = intra.WithSymmetricScale(na.Diag[lo:hi])
-		p.plan = p.intra.PlanFor(1, colsHint)
 
 		p.frontier, p.halo = buildHalo(na, lo, hi, compact)
 
 		stats.IntraNNZ[s] = intraCSR.NNZ()
 		stats.HaloNNZ[s] = p.halo.NNZ()
 		stats.Frontier[s] = len(p.frontier)
-		stats.Plans[s] = p.plan
 		sa.haloNNZ += int64(p.halo.NNZ())
 		sa.footprint += p.intra.FootprintBytes() + p.halo.FootprintBytes() + int64(4*len(p.frontier))
 	}
