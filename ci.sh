@@ -41,6 +41,12 @@ go build "$PKGS"
 echo "==> go test $PKGS"
 go test "$PKGS"
 
+echo "==> go test -tags purego (AVX2 kernels forced off: the Go-loop fallback through every kernel user)"
+go test -count=1 -tags purego ./internal/blas/ ./internal/dense/ ./internal/kernels/ ./internal/cbm/ ./internal/gnn/ ./internal/oracle/
+
+echo "==> GOARCH=arm64 go vet (the non-amd64 build of the kernels keeps compiling)"
+GOARCH=arm64 go vet ./internal/blas/ ./internal/dense/
+
 echo "==> go test -race (concurrency-heavy packages)"
 go test -race ./internal/cbm/... ./internal/parallel/... ./internal/kernels/... ./internal/oracle/... ./internal/obs/... ./internal/exec/... ./internal/gnn/... ./internal/clock/... ./internal/reorder/... ./internal/shard/...
 

@@ -1,18 +1,25 @@
 // Package blas provides the small set of single-precision vector
 // kernels the CBM multiplication pipeline is built from. They stand in
-// for the Intel MKL routines (axpy and friends) the paper uses: plain
-// Go loops, manually unrolled by eight — with a four-wide step before
-// the scalar tail, so remainders shorter than a full unroll still run
-// mostly vectorized — so the compiler can keep the accumulators in
-// registers and bounds checks are hoisted. The unrolls never reorder
-// or reassociate per-element operations, so results are bitwise
-// identical to the plain loop.
+// for the Intel MKL routines (axpy and friends) the paper uses.
+//
+// The element-wise kernels (Axpy, Add, AxpbyTo, Scal) run AVX2 Go
+// assembly on amd64 CPUs whose OS saves the YMM registers, and the
+// unrolled Go loops (axpyGo and friends) everywhere else and under the
+// purego build tag. The assembly multiplies and adds in separate
+// instructions (never FMA, which rounds once) in the operand order the
+// compiler uses for the Go loops, so every result is bitwise identical
+// on both paths; only the payload of a NaN produced from two NaN
+// operands may differ, as it does between lanes of the Go loops
+// themselves. The reductions (Dot, Asum) stay scalar Go: vectorizing
+// them would reassociate the sum.
 package blas
 
 import "fmt"
 
 // Axpy computes y[i] += a*x[i] for all i. x and y must have equal
-// length; it panics otherwise (mirrors the BLAS contract).
+// length; it panics otherwise (mirrors the BLAS contract). a == 0 is a
+// no-op, even where x holds Inf or NaN. x and y may be the same slice
+// but must not partially overlap.
 //
 //cbm:hotpath
 func Axpy(a float32, x, y []float32) {
@@ -22,6 +29,67 @@ func Axpy(a float32, x, y []float32) {
 	if a == 0 || len(x) == 0 {
 		return
 	}
+	if useAVX2 {
+		axpyAVX2(a, x, y)
+		return
+	}
+	axpyGo(a, x, y)
+}
+
+// Add computes y[i] += x[i] — the a == 1 axpy specialization used by
+// the CBM update stage for unscaled (AX) products.
+//
+//cbm:hotpath
+func Add(x, y []float32) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("blas: Add length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
+	}
+	if useAVX2 {
+		addAVX2(x, y)
+		return
+	}
+	addGo(x, y)
+}
+
+// AxpbyTo computes dst[i] = a*x[i] + b*y[i]. dst may be the same slice
+// as x or y, but no two of the slices may partially overlap.
+// It is the fused kernel of the DADX update stage
+// (dst = d_x*(parent/d_p) + d_x*child, Eq. 6 of the paper).
+//
+//cbm:hotpath
+func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
+	if len(x) != len(y) || len(dst) != len(x) {
+		panic(fmt.Sprintf("blas: AxpbyTo length mismatch: len(dst)=%d len(x)=%d len(y)=%d", len(dst), len(x), len(y)))
+	}
+	if useAVX2 {
+		axpbyToAVX2(dst, a, x, b, y)
+		return
+	}
+	axpbyToGo(dst, a, x, b, y)
+}
+
+// Scal computes x[i] *= a.
+//
+//cbm:hotpath
+func Scal(a float32, x []float32) {
+	if useAVX2 {
+		scalAVX2(a, x)
+		return
+	}
+	scalGo(a, x)
+}
+
+// The Go loops below are the element-wise kernels off amd64, under the
+// purego tag and on CPUs without AVX2, and the oracle the assembly is
+// tested against. They are unrolled by eight — with a four-wide step
+// before the scalar tail, so remainders shorter than a full unroll
+// still run mostly unrolled — so the compiler can keep the operands in
+// registers and hoist bounds checks. The unrolls never reorder or
+// reassociate per-element operations, so results are bitwise identical
+// to the plain loop.
+
+//cbm:hotpath
+func axpyGo(a float32, x, y []float32) {
 	i := 0
 	// Unrolled main loop; the slice re-slice pins a common bound so the
 	// compiler eliminates per-element bounds checks.
@@ -51,14 +119,8 @@ func Axpy(a float32, x, y []float32) {
 	}
 }
 
-// Add computes y[i] += x[i] — the a == 1 axpy specialization used by
-// the CBM update stage for unscaled (AX) products.
-//
 //cbm:hotpath
-func Add(x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("blas: Add length mismatch: len(x)=%d len(y)=%d", len(x), len(y)))
-	}
+func addGo(x, y []float32) {
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]
@@ -86,15 +148,8 @@ func Add(x, y []float32) {
 	}
 }
 
-// AxpbyTo computes dst[i] = a*x[i] + b*y[i]. dst may alias x or y.
-// It is the fused kernel of the DADX update stage
-// (dst = d_x*(parent/d_p) + d_x*child, Eq. 6 of the paper).
-//
 //cbm:hotpath
-func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("blas: AxpbyTo length mismatch: len(dst)=%d len(x)=%d len(y)=%d", len(dst), len(x), len(y)))
-	}
+func axpbyToGo(dst []float32, a float32, x []float32, b float32, y []float32) {
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]
@@ -124,10 +179,8 @@ func AxpbyTo(dst []float32, a float32, x []float32, b float32, y []float32) {
 	}
 }
 
-// Scal computes x[i] *= a.
-//
 //cbm:hotpath
-func Scal(a float32, x []float32) {
+func scalGo(a float32, x []float32) {
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
 		xs := x[i : i+8 : i+8]

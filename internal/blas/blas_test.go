@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -219,8 +220,13 @@ func TestDotSymmetryProperty(t *testing.T) {
 // Every unrolled kernel has three code paths (8-wide body, 4-wide
 // mid-tail, scalar tail); lengths 0..24 exercise all residues of both
 // unroll widths, and the unrolls must not change a single bit relative
-// to the plain scalar loop.
+// to the plain scalar loop. The second half is a quick-check of the
+// exported kernels (the AVX2 assembly where the CPU has it) against the
+// Go loops they must reproduce, over lengths 0..300 at unaligned
+// offsets with heavy-tailed and non-finite operands, aliased outputs,
+// and guard cells around every slice that neither path may write.
 func TestUnrollTailsBitwiseMatchScalar(t *testing.T) {
+	t.Logf("AVX2 kernels in use: %v", useAVX2)
 	rng := xrand.New(97)
 	const a, b = 1.37, -0.61
 	for n := 0; n <= 24; n++ {
@@ -270,4 +276,201 @@ func TestUnrollTailsBitwiseMatchScalar(t *testing.T) {
 			}
 		}
 	}
+
+	scalars := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 3.7e11, -2.9e-5,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	const guard = 8
+	for n := 0; n <= 300; n++ {
+		for off := 0; off < 4; off++ {
+			xOff, yOff, dOff := off, 3-off, (off+2)%4
+			x := buf{nastyVec(rng, n+guard+4), xOff, n}
+			y := buf{nastyVec(rng, n+guard+4), yOff, n}
+			for _, sa := range scalars {
+				// a == 0 (either sign) must leave y alone even where x
+				// holds Inf or NaN; the Go oracle encodes that contract
+				// explicitly because axpyGo itself has no early return.
+				want := cloneBuf(y)
+				if sa != 0 {
+					axpyGo(sa, x.win(), want.win())
+				}
+				got := cloneBuf(y)
+				Axpy(sa, x.win(), got.win())
+				checkBuf(t, "Axpy", n, off, sa, 0, got, want)
+
+				want = cloneBuf(x)
+				scalGo(sa, want.win())
+				got = cloneBuf(x)
+				Scal(sa, got.win())
+				checkBuf(t, "Scal", n, off, sa, 0, got, want)
+
+				for _, sb := range scalars {
+					want = buf{nastyVec(rng, n+guard+4), dOff, n}
+					got = cloneBuf(want)
+					axpbyToGo(want.win(), sa, x.win(), sb, y.win())
+					AxpbyTo(got.win(), sa, x.win(), sb, y.win())
+					checkBuf(t, "AxpbyTo", n, off, sa, sb, got, want)
+
+					// dst aliasing x, then dst aliasing y: the DAD
+					// update writes the parent row into itself.
+					want, got = cloneBuf(x), cloneBuf(x)
+					axpbyToGo(want.win(), sa, want.win(), sb, y.win())
+					AxpbyTo(got.win(), sa, got.win(), sb, y.win())
+					checkBuf(t, "AxpbyTo(dst=x)", n, off, sa, sb, got, want)
+
+					want, got = cloneBuf(y), cloneBuf(y)
+					axpbyToGo(want.win(), sa, x.win(), sb, want.win())
+					AxpbyTo(got.win(), sa, x.win(), sb, got.win())
+					checkBuf(t, "AxpbyTo(dst=y)", n, off, sa, sb, got, want)
+				}
+			}
+			want := cloneBuf(y)
+			addGo(x.win(), want.win())
+			got := cloneBuf(y)
+			Add(x.win(), got.win())
+			checkBuf(t, "Add", n, off, 1, 0, got, want)
+		}
+	}
+}
+
+// buf is a vector with guard cells on both sides of the window
+// [lo, lo+n) a kernel may touch.
+type buf struct {
+	data  []float32
+	lo, n int
+}
+
+func (b buf) win() []float32 { return b.data[b.lo : b.lo+b.n : b.lo+b.n] }
+
+func cloneBuf(b buf) buf {
+	return buf{append([]float32(nil), b.data...), b.lo, b.n}
+}
+
+// checkBuf compares got and want over the whole buffer, so a write
+// into a guard cell fails as surely as a wrong result.
+func checkBuf(t *testing.T, kernel string, n, off int, a, b float32, got, want buf) {
+	t.Helper()
+	for i := range want.data {
+		if !sameBits(got.data[i], want.data[i]) {
+			t.Fatalf("%s n=%d off=%d a=%v b=%v: cell %d (window [%d,%d)) = %v (%#08x), Go loop gives %v (%#08x)",
+				kernel, n, off, a, b, i, want.lo, want.lo+want.n,
+				got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
+		}
+	}
+}
+
+// sameBits reports whether got and want are the same float32 bit for
+// bit, except that any two NaNs match. When both operands of an x86
+// add or multiply are NaN, the result carries the first operand's
+// payload, and the compiler picks the order of commutative operands
+// per element: within one unrolled Go loop some lanes compute y+x and
+// others x+y. Only the payload of such a NaN is unspecified; whether a
+// result is NaN, and every other bit pattern including the sign of
+// zero and infinity, must match.
+func sameBits(got, want float32) bool {
+	return math.Float32bits(got) == math.Float32bits(want) || (got != got && want != want)
+}
+
+// nastyVec draws signed log-uniform magnitudes in [1e-6, 1e12] with
+// about one element in eight replaced by ±0, ±Inf, a subnormal or a NaN
+// (quiet or signalling, either sign, assorted payloads).
+func nastyVec(rng *xrand.RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		switch k := rng.Intn(24); k {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = float32(math.Copysign(0, -1))
+		case 2:
+			v[i] = float32(math.Inf(1))
+		case 3:
+			v[i] = float32(math.Inf(-1))
+		case 4:
+			v[i] = math.Float32frombits(0x7fc00000 | uint32(rng.Uint64())&0x803fffff)
+		case 5:
+			v[i] = math.Float32frombits(0x7f800001 | uint32(rng.Uint64())&0x801fffff)
+		case 6:
+			v[i] = math.Float32frombits(uint32(rng.Uint64()) & 0x807fffff)
+		default:
+			m := float32(math.Pow(10, -6+18*rng.Float64()))
+			if k%2 == 0 {
+				m = -m
+			}
+			v[i] = m
+		}
+	}
+	return v
+}
+
+// The microbenchmarks time each element-wise kernel at the row widths
+// the GCN layers use, the AVX2 assembly against the Go loop it
+// replaces, and report arithmetic throughput. Run with
+//
+//	go test -run '^$' -bench 'Axpy|Add|AxpbyTo|Scal' -cpu 1 ./internal/blas/
+func benchKernel(b *testing.B, flopsPerElem int, avx2, goLoop func(iters int, x, y, dst []float32)) {
+	for _, n := range []int{4, 16, 37, 64, 128} {
+		for _, impl := range []struct {
+			name string
+			run  func(iters int, x, y, dst []float32)
+		}{{"avx2", avx2}, {"go", goLoop}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, impl.name), func(b *testing.B) {
+				if impl.name == "avx2" && !useAVX2 {
+					b.Skip("AVX2 kernels not built or not supported by this CPU")
+				}
+				rng := xrand.New(1)
+				x, y, dst := randVec(rng, n), randVec(rng, n), make([]float32, n)
+				b.ResetTimer()
+				impl.run(b.N, x, y, dst)
+				b.ReportMetric(float64(flopsPerElem*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
+}
+
+func BenchmarkAxpy(b *testing.B) {
+	benchKernel(b, 2, func(iters int, x, y, _ []float32) {
+		for i := 0; i < iters; i++ {
+			axpyAVX2(1.0001, x, y)
+		}
+	}, func(iters int, x, y, _ []float32) {
+		for i := 0; i < iters; i++ {
+			axpyGo(1.0001, x, y)
+		}
+	})
+}
+
+func BenchmarkAdd(b *testing.B) {
+	benchKernel(b, 1, func(iters int, x, y, _ []float32) {
+		for i := 0; i < iters; i++ {
+			addAVX2(x, y)
+		}
+	}, func(iters int, x, y, _ []float32) {
+		for i := 0; i < iters; i++ {
+			addGo(x, y)
+		}
+	})
+}
+
+func BenchmarkAxpbyTo(b *testing.B) {
+	benchKernel(b, 3, func(iters int, x, y, dst []float32) {
+		for i := 0; i < iters; i++ {
+			axpbyToAVX2(dst, 0.5, x, -0.25, y)
+		}
+	}, func(iters int, x, y, dst []float32) {
+		for i := 0; i < iters; i++ {
+			axpbyToGo(dst, 0.5, x, -0.25, y)
+		}
+	})
+}
+
+func BenchmarkScal(b *testing.B) {
+	benchKernel(b, 1, func(iters int, x, _, _ []float32) {
+		for i := 0; i < iters; i++ {
+			scalAVX2(1, x)
+		}
+	}, func(iters int, x, _, _ []float32) {
+		for i := 0; i < iters; i++ {
+			scalGo(1, x)
+		}
+	})
 }

@@ -191,20 +191,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// SpMV computes y = S·x sequentially for a dense vector x.
-func SpMV(s *sparse.CSR, x []float32) []float32 {
-	if s.Cols != len(x) {
-		panic(fmt.Sprintf("kernels: SpMV shape mismatch: matrix is %dx%d, len(x)=%d", s.Rows, s.Cols, len(x)))
-	}
-	y := make([]float32, s.Rows)
-	for i := 0; i < s.Rows; i++ {
-		cols, vals := s.Row(i)
-		var acc float32
-		for k, c := range cols {
-			acc += vals[k] * x[c]
-		}
-		y[i] = acc
-	}
-	return y
-}
