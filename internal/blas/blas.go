@@ -1,17 +1,18 @@
-// Package blas provides the small set of single-precision vector
-// kernels the CBM multiplication pipeline is built from. They stand in
-// for the Intel MKL routines (axpy and friends) the paper uses.
+// Package blas provides the small set of single-precision kernels the
+// CBM multiplication pipeline and the GCN layers are built from. They
+// stand in for the Intel MKL routines (axpy, sgemm and friends) the
+// paper uses.
 //
-// The element-wise kernels (Axpy, Add, AxpbyTo, Scal) run AVX2 Go
-// assembly on amd64 CPUs whose OS saves the YMM registers, and the
-// unrolled Go loops (axpyGo and friends) everywhere else and under the
-// purego build tag. The assembly multiplies and adds in separate
-// instructions (never FMA, which rounds once) in the operand order the
-// compiler uses for the Go loops, so every result is bitwise identical
-// on both paths; only the payload of a NaN produced from two NaN
-// operands may differ, as it does between lanes of the Go loops
-// themselves. The reductions (Dot, Asum) stay scalar Go: vectorizing
-// them would reassociate the sum.
+// The element-wise kernels (Axpy, Add, AxpbyTo, Scal, Relu) and the
+// dense product Gemm run AVX2 Go assembly on amd64 CPUs whose OS saves
+// the YMM registers, and Go loops (axpyGo, gemmGo and friends)
+// everywhere else and under the purego build tag. The assembly
+// multiplies and adds in separate instructions (never FMA, which rounds
+// once) in the operand order the compiler uses for the Go loops, so
+// every result is bitwise identical on both paths; only the payload of
+// a NaN produced from two NaN operands may differ, as it does between
+// lanes of the Go loops themselves. The reductions (Dot, Asum) stay
+// scalar Go: vectorizing them would reassociate the sum.
 package blas
 
 import "fmt"
@@ -77,6 +78,93 @@ func Scal(a float32, x []float32) {
 		return
 	}
 	scalGo(a, x)
+}
+
+// Relu clamps every negative element of x to +0 in place, exactly as
+// `if v < 0 { v = 0 }` does: −0, NaN and +Inf keep their bits.
+//
+//cbm:hotpath
+func Relu(x []float32) {
+	if useAVX2 {
+		reluAVX2(x)
+		return
+	}
+	reluGo(x)
+}
+
+// Gemm overwrites C with the product A·B of row-major matrices: A is
+// m×k with leading dimension (row stride) lda, B is k×n with ldb, and C
+// is m×n with ldc. C must not overlap A or B. The result is bitwise
+// that of gemmGo, the zero-skipping axpy loop: row i of C starts at +0
+// and gains a[i,p]·B[p,:] for p = 0, 1, …, k−1 wherever a[i,p] != 0.
+//
+// Where the AVX2 kernels run and B is free of Inf and NaN, Gemm covers
+// the largest block of whole 4-row × 16-column tiles with a register-
+// blocked micro-kernel that multiplies every A entry, zeros included,
+// and leaves the remaining rows and columns to gemmGo. Adding ±0 to an
+// accumulator that starts at +0 never changes it (the sum can only be
+// −0 when both addends are), so including a zero term gives the bits
+// skipping it does; with an Inf or NaN in B, 0·Inf would turn a
+// skipped term into NaN, so such calls run gemmGo throughout. The
+// finiteness check reads k·n elements of B once per call.
+//
+//cbm:hotpath
+func Gemm(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	if m < 0 || n < 0 || k < 0 || lda < k || ldb < n || ldc < n {
+		panic(fmt.Sprintf("blas: Gemm bad shape: m=%d n=%d k=%d lda=%d ldb=%d ldc=%d", m, n, k, lda, ldb, ldc))
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	if len(c) < (m-1)*ldc+n || k > 0 && (len(a) < (m-1)*lda+k || len(b) < (k-1)*ldb+n) {
+		panic(fmt.Sprintf("blas: Gemm slice out of range: m=%d n=%d k=%d: len(a)=%d lda=%d, len(b)=%d ldb=%d, len(c)=%d ldc=%d",
+			m, n, k, len(a), lda, len(b), ldb, len(c), ldc))
+	}
+	m4, n16 := m&^3, n&^15
+	if !useAVX2 || m4 == 0 || n16 == 0 || k == 0 || !finite(b, k, n16, ldb) {
+		gemmGo(m, n, k, a, lda, b, ldb, c, ldc)
+		return
+	}
+	for i := 0; i < m4; i += 4 {
+		gemm4x16AVX2(n16, k, a[i*lda:], lda, b, ldb, c[i*ldc:], ldc)
+	}
+	if n16 < n {
+		gemmGo(m4, n-n16, k, a, lda, b[n16:], ldb, c[n16:], ldc)
+	}
+	if m4 < m {
+		gemmGo(m-m4, n, k, a[m4*lda:], lda, b, ldb, c[m4*ldc:], ldc)
+	}
+}
+
+// finite reports whether the k×n block of b with leading dimension ldb
+// holds no Inf or NaN.
+//
+//cbm:hotpath
+func finite(b []float32, k, n, ldb int) bool {
+	for p := 0; p < k; p++ {
+		for _, v := range b[p*ldb : p*ldb+n] {
+			if v-v != 0 { // NaN for ±Inf and NaN, +0 for every finite v
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// gemmGo is Gemm's fallback and oracle: zero each row of C, then add
+// a[i,p]·B[p,:] for every nonzero a[i,p] in ascending p.
+//
+//cbm:hotpath
+func gemmGo(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	for i := 0; i < m; i++ {
+		crow := c[i*ldc : i*ldc+n : i*ldc+n]
+		clear(crow)
+		for p, av := range a[i*lda : i*lda+k] {
+			if av != 0 {
+				Axpy(av, b[p*ldb:p*ldb+n], crow)
+			}
+		}
+	}
 }
 
 // The Go loops below are the element-wise kernels off amd64, under the
@@ -203,6 +291,15 @@ func scalGo(a float32, x []float32) {
 	}
 	for ; i < len(x); i++ {
 		x[i] *= a
+	}
+}
+
+//cbm:hotpath
+func reluGo(x []float32) {
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
 	}
 }
 

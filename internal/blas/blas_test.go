@@ -402,6 +402,134 @@ func nastyVec(rng *xrand.RNG, n int) []float32 {
 	return v
 }
 
+// Quick-check of Relu against reluGo over lengths 0..300 at unaligned
+// offsets, with guard cells. No arithmetic happens, so every bit must
+// match, NaN payloads included.
+func TestReluBitwiseMatchesGoLoop(t *testing.T) {
+	t.Logf("AVX2 kernels in use: %v", useAVX2)
+	rng := xrand.New(101)
+	const guard = 8
+	for n := 0; n <= 300; n++ {
+		for off := 0; off < 4; off++ {
+			x := buf{nastyVec(rng, n+guard+4), off, n}
+			want, got := cloneBuf(x), cloneBuf(x)
+			reluGo(want.win())
+			Relu(got.win())
+			for i := range want.data {
+				if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+					t.Fatalf("Relu n=%d off=%d: cell %d (window [%d,%d)) = %#08x, Go loop gives %#08x",
+						n, off, i, x.lo, x.lo+n, math.Float32bits(got.data[i]), math.Float32bits(want.data[i]))
+				}
+			}
+		}
+	}
+}
+
+// Quick-check of Gemm (the 4×16 AVX2 micro-kernel plus its axpy-loop
+// tails, where the CPU has AVX2) against gemmGo. A carries ±0 (a third
+// of its entries, so zero terms the kernel multiplies and the loop
+// skips are everywhere), ±Inf, NaN and subnormals. B is finite, then
+// holds one injected Inf or NaN that must send the call to gemmGo.
+// Leading dimensions exceed the matrix widths and every slice starts at
+// an offset 0–3; C's cells are NaN and its padding a sentinel before
+// each call, so a missed cell or a write into the padding fails.
+func TestGemmBitwiseMatchesGoLoop(t *testing.T) {
+	t.Logf("AVX2 kernels in use: %v", useAVX2)
+	rng := xrand.New(211)
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+		for _, k := range []int{0, 1, 7, 16, 33, 128} {
+			for _, n := range []int{0, 1, 4, 15, 16, 17, 32, 40, 128} {
+				off := rng.Intn(4)
+				lda, ldb, ldc := k+1+rng.Intn(5), n+1+rng.Intn(5), n+1+rng.Intn(5)
+				a := gemmOperand(rng, off+max(m-1, 0)*lda+k, true)
+				b := gemmOperand(rng, off+max(k-1, 0)*ldb+n, false)
+				checkGemm(t, m, n, k, off, a, lda, b, ldb, ldc)
+				if k > 0 && n > 0 {
+					// One Inf or NaN anywhere in B's k×n block.
+					p, j := rng.Intn(k), rng.Intn(n)
+					b[off+p*ldb+j] = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}[rng.Intn(3)]
+					checkGemm(t, m, n, k, off, a, lda, b, ldb, ldc)
+				}
+			}
+		}
+	}
+}
+
+func checkGemm(t *testing.T, m, n, k, off int, a []float32, lda int, b []float32, ldb, ldc int) {
+	t.Helper()
+	const sentinel = 1234.5
+	c := make([]float32, off+m*ldc+4)
+	for i := range c {
+		c[i] = sentinel
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			c[off+i*ldc+j] = float32(math.NaN())
+		}
+	}
+	want := append([]float32(nil), c...)
+	gemmGo(m, n, k, a[off:], lda, b[off:], ldb, want[off:], ldc)
+	Gemm(m, n, k, a[off:], lda, b[off:], ldb, c[off:], ldc)
+	for i := range want {
+		if !sameBits(c[i], want[i]) {
+			row, col := (i-off)/ldc, (i-off)%ldc
+			t.Fatalf("Gemm m=%d n=%d k=%d off=%d lda=%d ldb=%d ldc=%d: cell %d (row %d col %d) = %v (%#08x), Go loop gives %v (%#08x)",
+				m, n, k, off, lda, ldb, ldc, i, row, col, c[i], math.Float32bits(c[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// gemmOperand draws n values log-uniform in ±[1e-3, 1e3], about one in
+// twelve ±0 and one in twenty subnormal. For A (forA) a third are ±0
+// and about one in sixty each is ±Inf or NaN.
+func gemmOperand(rng *xrand.RNG, n int, forA bool) []float32 {
+	zeros := 5
+	if forA {
+		zeros = 20
+	}
+	v := make([]float32, n)
+	for i := range v {
+		switch k := rng.Intn(60); {
+		case k < zeros:
+			v[i] = float32(math.Copysign(0, float64(k%2)-0.5))
+		case forA && k == 58:
+			v[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		case forA && k == 59:
+			v[i] = float32(math.NaN())
+		case k >= 56:
+			v[i] = math.Float32frombits(uint32(rng.Uint64()) & 0x807fffff)
+		default:
+			v[i] = float32(math.Copysign(math.Pow(10, -3+6*rng.Float64()), float64(k%2)-0.5))
+		}
+	}
+	return v
+}
+
+func TestGemmShapePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		m, n, k       int
+		la, lb, lc    int
+		lda, ldb, ldc int
+	}{
+		{"negative m", -1, 1, 1, 1, 1, 1, 1, 1, 1},
+		{"lda < k", 2, 2, 2, 4, 4, 4, 1, 2, 2},
+		{"ldc < n", 2, 2, 2, 4, 4, 4, 2, 2, 1},
+		{"short a", 2, 2, 2, 3, 4, 4, 2, 2, 2},
+		{"short b", 2, 2, 2, 4, 3, 4, 2, 2, 2},
+		{"short c", 2, 2, 2, 4, 4, 3, 2, 2, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", tc.name)
+				}
+			}()
+			Gemm(tc.m, tc.n, tc.k, make([]float32, tc.la), tc.lda, make([]float32, tc.lb), tc.ldb, make([]float32, tc.lc), tc.ldc)
+		}()
+	}
+}
+
 // The microbenchmarks time each element-wise kernel at the row widths
 // the GCN layers use, the AVX2 assembly against the Go loop it
 // replaces, and report arithmetic throughput. Run with

@@ -31,8 +31,11 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register XCR0.
 func xgetbv() (eax, edx uint32)
 
-// The AVX2 kernels assume the exported wrappers' checks: equal lengths
-// and, for axpyAVX2, a != 0.
+// The AVX2 kernels assume the exported wrappers' checks: equal lengths,
+// for axpyAVX2 a != 0, and for gemm4x16AVX2 n16 a positive multiple of
+// 16, k > 0 and slices that reach the last element of the 4×n16 tile
+// strip (3·ldc + n16 elements of c, 3·lda + k of a, (k−1)·ldb + n16 of
+// b).
 
 //go:noescape
 func axpyAVX2(a float32, x, y []float32)
@@ -45,3 +48,13 @@ func axpbyToAVX2(dst []float32, a float32, x []float32, b float32, y []float32)
 
 //go:noescape
 func scalAVX2(a float32, x []float32)
+
+//go:noescape
+func reluAVX2(x []float32)
+
+// gemm4x16AVX2 overwrites rows 0–3, columns 0 to n16−1 of c with the
+// product of rows 0–3 of a and the k×n16 block of b, one 4×16 tile at
+// a time.
+//
+//go:noescape
+func gemm4x16AVX2(n16, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)

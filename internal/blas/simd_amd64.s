@@ -297,6 +297,156 @@ scalDone:
 	VZEROUPPER
 	RET
 
+// func reluAVX2(x []float32)
+//
+// VCMPPS with predicate LT_OQ (0x11) sets a lane's mask only when the
+// element is ordered and below zero, so −0, NaN and +Inf keep a clear
+// mask; VANDNPS then clears exactly the masked lanes to +0.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	VXORPS Y0, Y0, Y0
+	CMPQ   CX, $32
+	JB     relu8
+
+relu32:
+	VMOVUPS 0(SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS 64(SI), Y3
+	VMOVUPS 96(SI), Y4
+	VCMPPS  $0x11, Y0, Y1, Y5
+	VCMPPS  $0x11, Y0, Y2, Y6
+	VCMPPS  $0x11, Y0, Y3, Y7
+	VCMPPS  $0x11, Y0, Y4, Y8
+	VANDNPS Y1, Y5, Y1
+	VANDNPS Y2, Y6, Y2
+	VANDNPS Y3, Y7, Y3
+	VANDNPS Y4, Y8, Y4
+	VMOVUPS Y1, 0(SI)
+	VMOVUPS Y2, 32(SI)
+	VMOVUPS Y3, 64(SI)
+	VMOVUPS Y4, 96(SI)
+	ADDQ    $128, SI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JAE     relu32
+
+relu8:
+	CMPQ    CX, $8
+	JB      relu4
+	VMOVUPS 0(SI), Y1
+	VCMPPS  $0x11, Y0, Y1, Y5
+	VANDNPS Y1, Y5, Y1
+	VMOVUPS Y1, 0(SI)
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JMP     relu8
+
+relu4:
+	CMPQ    CX, $4
+	JB      relu1
+	VMOVUPS 0(SI), X1
+	VCMPPS  $0x11, X0, X1, X5
+	VANDNPS X1, X5, X1
+	VMOVUPS X1, 0(SI)
+	ADDQ    $16, SI
+	SUBQ    $4, CX
+
+relu1:
+	TESTQ   CX, CX
+	JZ      reluDone
+	VMOVSS  0(SI), X1
+	VCMPSS  $0x11, X0, X1, X5
+	VANDNPS X1, X5, X1
+	VMOVSS  X1, 0(SI)
+	ADDQ    $4, SI
+	DECQ    CX
+	JMP     relu1
+
+reluDone:
+	VZEROUPPER
+	RET
+
+// func gemm4x16AVX2(n16, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
+//
+// Register-blocked micro-kernel for a strip of 4 rows of C, one 4×16
+// tile at a time. The tile lives in eight YMM accumulators (Y0–Y7, two
+// per row) that start at +0. For each p = 0 … k−1 in order, row p of
+// B's 16 columns is loaded once (Y8, Y9) and each row's a[r,p] is
+// broadcast, then every accumulator gains the product as VMULPS b·a
+// followed by VADDPS product+acc: the operations and operand order of
+// axpyAVX2 and axpyGo, term for term. The tile is stored once, after
+// the last p. B is read in place, without packing.
+TEXT ·gemm4x16AVX2(SB), NOSPLIT, $0-112
+	MOVQ n16+0(FP), DX
+	MOVQ a_base+16(FP), SI
+	MOVQ lda+40(FP), R8
+	MOVQ b_base+48(FP), BX
+	MOVQ ldb+72(FP), R10
+	MOVQ c_base+80(FP), AX
+	MOVQ ldc+104(FP), R11
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+	SHLQ $2, R10
+	SHLQ $2, R11
+
+gemmTile:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   SI, R13
+	MOVQ   BX, R12
+	MOVQ   k+8(FP), CX
+
+gemmK:
+	VMOVUPS      0(R12), Y8
+	VMOVUPS      32(R12), Y9
+	VBROADCASTSS 0(R13), Y10
+	VBROADCASTSS (R13)(R8*1), Y11
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y13
+	VMULPS       Y11, Y8, Y14
+	VMULPS       Y11, Y9, Y15
+	VADDPS       Y0, Y12, Y0
+	VADDPS       Y1, Y13, Y1
+	VADDPS       Y2, Y14, Y2
+	VADDPS       Y3, Y15, Y3
+	VBROADCASTSS (R13)(R8*2), Y10
+	VBROADCASTSS (R13)(R9*1), Y11
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y13
+	VMULPS       Y11, Y8, Y14
+	VMULPS       Y11, Y9, Y15
+	VADDPS       Y4, Y12, Y4
+	VADDPS       Y5, Y13, Y5
+	VADDPS       Y6, Y14, Y6
+	VADDPS       Y7, Y15, Y7
+	ADDQ         $4, R13
+	ADDQ         R10, R12
+	DECQ         CX
+	JNZ          gemmK
+
+	VMOVUPS Y0, 0(AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, (AX)(R11*1)
+	VMOVUPS Y3, 32(AX)(R11*1)
+	VMOVUPS Y4, (AX)(R11*2)
+	VMOVUPS Y5, 32(AX)(R11*2)
+	LEAQ    (AX)(R11*2), R13
+	VMOVUPS Y6, (R13)(R11*1)
+	VMOVUPS Y7, 32(R13)(R11*1)
+	ADDQ    $64, AX
+	ADDQ    $64, BX
+	SUBQ    $16, DX
+	JNZ     gemmTile
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -16,3 +16,9 @@ func axpbyToAVX2(dst []float32, a float32, x []float32, b float32, y []float32) 
 }
 
 func scalAVX2(a float32, x []float32) { scalGo(a, x) }
+
+func reluAVX2(x []float32) { reluGo(x) }
+
+func gemm4x16AVX2(n16, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	gemmGo(4, n16, k, a, lda, b, ldb, c, ldc)
+}

@@ -1,8 +1,9 @@
 // Package dense implements a row-major single-precision dense matrix
-// with the operations the GCN pipeline needs: parallel blocked GEMM
-// (standing in for the dense-dense products PyTorch performs in the
-// paper's pipeline), element-wise activation, and error metrics used by
-// the correctness harness.
+// with the operations the GCN pipeline needs: a parallel,
+// register-blocked GEMM (blas.Gemm per block of rows, standing in for
+// the dense-dense products PyTorch performs in the paper's pipeline),
+// element-wise activation, and error metrics used by the correctness
+// harness.
 package dense
 
 import (
@@ -137,10 +138,8 @@ func Mul(a, b *Matrix) *Matrix {
 }
 
 // MulParallel computes C = A·B using the given number of threads
-// (threads < 1 selects the default). The kernel is an i-k-j loop with
-// the inner update expressed as an axpy over C's row, which streams B
-// and C rows contiguously — the cache-friendly layout for row-major
-// data.
+// (threads < 1 selects the default). Each thread runs blas.Gemm over a
+// contiguous block of C's rows.
 func MulParallel(a, b *Matrix, threads int) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("dense: Mul shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -150,8 +149,11 @@ func MulParallel(a, b *Matrix, threads int) *Matrix {
 	return c
 }
 
-// MulTo computes c = a·b into a pre-allocated c (overwritten). The
-// sequential case runs inline without materializing the loop-body
+// MulTo computes c = a·b into a pre-allocated c (overwritten; its
+// prior contents are never read). The result is bitwise that of the
+// i-k-j loop that zeroes each row of c and adds a[i,k]·b[k,:] for every
+// nonzero a[i,k] in ascending k, at any thread count (see blas.Gemm).
+// The sequential case runs inline without materializing the loop-body
 // closure, so single-threaded callers (the zero-allocation serving
 // path) allocate nothing.
 //
@@ -160,7 +162,6 @@ func MulTo(c, a, b *Matrix, threads int) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MulTo shape mismatch: c %dx%d, a %dx%d, b %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c.Zero()
 	if parallel.Sequential(threads, a.Rows) {
 		mulRows(c, a, b, 0, a.Rows)
 		return
@@ -170,19 +171,12 @@ func MulTo(c, a, b *Matrix, threads int) {
 	})
 }
 
-// mulRows computes output rows [lo, hi) of c = a·b (c pre-zeroed).
+// mulRows overwrites output rows [lo, hi) of c = a·b.
 //
 //cbm:hotpath
 func mulRows(c, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av != 0 {
-				blas.Axpy(av, b.Row(k), crow)
-			}
-		}
-	}
+	k, n := a.Cols, b.Cols
+	blas.Gemm(hi-lo, n, k, a.Data[lo*k:], k, b.Data, n, c.Data[lo*n:], n)
 }
 
 // AddBiasRow adds the bias vector to every row of m in place.
@@ -195,13 +189,10 @@ func (m *Matrix) AddBiasRow(bias []float32) {
 	}
 }
 
-// ReLU applies max(0, x) element-wise in place and returns m.
+// ReLU clamps negative elements to +0 in place and returns m; −0 and
+// NaN pass through unchanged (see blas.Relu).
 func (m *Matrix) ReLU() *Matrix {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
+	blas.Relu(m.Data)
 	return m
 }
 

@@ -1,9 +1,12 @@
 package dense
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blas"
 	"repro/internal/xrand"
 )
 
@@ -291,4 +294,92 @@ func TestCopyFromShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	New(2, 3).CopyFrom(New(3, 2))
+}
+
+// axpyLoopMul is the i-k-j loop MulTo must reproduce bit for bit: zero
+// each row of c, then add a[i,k]·b[k,:] for every nonzero a[i,k].
+func axpyLoopMul(c, a, b *Matrix) {
+	c.Zero()
+	for i := 0; i < a.Rows; i++ {
+		for k, av := range a.Row(i) {
+			if av != 0 {
+				blas.Axpy(av, b.Row(k), c.Row(i))
+			}
+		}
+	}
+}
+
+// MulTo at threads 1, 2 and 3 must match the axpy loop bit for bit
+// (any two NaNs equal). Odd row counts split across 2 and 3 threads put
+// chunk edges off the 4-row grid of the GEMM micro-kernel; a third of
+// A is ±0 and some of A is ±Inf or NaN; one B in two carries an Inf,
+// which routes the product through the loop.
+func TestMulToBitwiseMatchesAxpyLoop(t *testing.T) {
+	rng := xrand.New(17)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, s := range [][3]int{{37, 33, 40}, {101, 16, 16}, {67, 128, 17}, {9, 7, 4}, {50, 64, 128}} {
+		for trial := 0; trial < 2; trial++ {
+			m, k, n := s[0], s[1], s[2]
+			a := randMatrix(rng, m, k)
+			for i := range a.Data {
+				switch rng.Intn(30) {
+				case 0, 1, 2, 3, 4:
+					a.Data[i] = 0
+				case 5, 6, 7, 8, 9:
+					a.Data[i] = float32(math.Copysign(0, -1))
+				case 10:
+					a.Data[i] = -inf
+				case 11:
+					a.Data[i] = nan
+				}
+			}
+			b := randMatrix(rng, k, n)
+			if trial == 1 {
+				b.Data[rng.Intn(len(b.Data))] = inf
+			}
+			want := New(m, n)
+			axpyLoopMul(want, a, b)
+			for _, threads := range []int{1, 2, 3} {
+				got := New(m, n)
+				for i := range got.Data {
+					got.Data[i] = nan
+				}
+				MulTo(got, a, b, threads)
+				for i, w := range want.Data {
+					if g := got.Data[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+						t.Fatalf("%d×%d·%d×%d trial %d threads=%d: element %d = %v (%#08x), axpy loop gives %v (%#08x)",
+							m, k, k, n, trial, threads, i, g, math.Float32bits(g), w, math.Float32bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMulTo times MulTo (blas.Gemm: the AVX2 micro-kernel where
+// the CPU has it) against the axpy loop it replaces, single-threaded,
+// at the GCN transform shapes of the benchmark workloads. Run with
+//
+//	go test -run '^$' -bench MulTo -cpu 1 ./internal/dense/
+func BenchmarkMulTo(b *testing.B) {
+	for _, s := range [][3]int{{4096, 128, 128}, {4096, 128, 16}, {2708, 16, 4}} {
+		m, k, n := s[0], s[1], s[2]
+		for _, impl := range []struct {
+			name string
+			mul  func(c, a, b *Matrix)
+		}{
+			{"gemm", func(c, a, b *Matrix) { MulTo(c, a, b, 1) }},
+			{"axpyloop", axpyLoopMul},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, impl.name), func(b *testing.B) {
+				rng := xrand.New(1)
+				x, w, c := randMatrix(rng, m, k), randMatrix(rng, k, n), New(m, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					impl.mul(c, x, w)
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dense"
@@ -122,6 +123,66 @@ func TestInferStackToBitwise(t *testing.T) {
 		}
 		if n := ctx.Arena().Outstanding(); n != 0 {
 			t.Fatalf("InferStackTo leaked %d arena buffers", n)
+		}
+	}
+}
+
+// The solo forward path borrows its scratch (GCNConv.ForwardTo's X·W,
+// GCN2.InferTo's hidden layer, InferStackTo's intermediate layers)
+// uninitialized, relying on MulTo and SpMM to overwrite their outputs.
+// Recycled arena storage poisoned with NaN must therefore give the bits
+// of a run on a fresh arena, on both backends and at 1 and 2 threads.
+func TestInferToIgnoresPoisonedArena(t *testing.T) {
+	csr, cbmB := testBackends(t, 49, 190)
+	t.Logf("CBM plan: %v", cbmB.(*CBMAdjacency).M.Plan())
+	rng := xrand.New(50)
+	x := randomFeatures(rng, csr.Rows(), 16)
+	model := NewGCN2(16, 12, 5, 51)
+	stack := []*GCNConv{NewGCNConv(16, 20, rng), NewGCNConv(20, 20, rng), NewGCNConv(20, 5, rng)}
+	n := csr.Rows()
+	widths := []int{5, 12, 16, 20}
+	nan := float32(math.NaN())
+	poison := func(ctx *exec.Ctx) {
+		var held []*dense.Matrix
+		for _, w := range widths {
+			for i := 0; i < 3; i++ {
+				m := ctx.Borrow(n, w)
+				for j := range m.Data {
+					m.Data[j] = nan
+				}
+				held = append(held, m)
+			}
+		}
+		for _, m := range held {
+			ctx.Release(m)
+		}
+	}
+	runs := []struct {
+		name  string
+		infer func(ctx *exec.Ctx, out *dense.Matrix, a Adjacency)
+	}{
+		{"GCN2.InferTo", func(ctx *exec.Ctx, out *dense.Matrix, a Adjacency) { model.InferTo(ctx, out, a, x) }},
+		{"InferStackTo", func(ctx *exec.Ctx, out *dense.Matrix, a Adjacency) { InferStackTo(ctx, out, stack, a, x) }},
+	}
+	for _, r := range runs {
+		for _, a := range []Adjacency{csr, cbmB} {
+			for _, threads := range []int{1, 2} {
+				want := dense.New(n, 5)
+				r.infer(exec.New(threads), want, a)
+				ctx := exec.New(threads)
+				poison(ctx)
+				got := dense.New(n, 5)
+				for j := range got.Data {
+					got.Data[j] = nan
+				}
+				r.infer(ctx, got, a)
+				if !bitwiseEqual(want, got) {
+					t.Fatalf("%s backend=%T threads=%d: poisoned arena changes the output", r.name, a, threads)
+				}
+				if k := ctx.Arena().Outstanding(); k != 0 {
+					t.Fatalf("%s leaked %d arena buffers", r.name, k)
+				}
+			}
 		}
 	}
 }

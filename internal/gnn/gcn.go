@@ -40,7 +40,8 @@ func (g *GCN2) Infer(a Adjacency, x *dense.Matrix, threads int) *dense.Matrix {
 //cbm:hotpath
 func (g *GCN2) InferTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.Matrix) {
 	sp := ctx.Begin(obs.StageInfer)
-	h := ctx.Borrow(a.Rows(), g.L0.Lin.Out)
+	// Uninitialized: ForwardTo overwrites h (SpMM overwrites its output).
+	h := ctx.BorrowUninit(a.Rows(), g.L0.Lin.Out)
 	g.L0.ForwardTo(ctx, h, a, x)
 	h.ReLU()
 	g.L1.ForwardTo(ctx, out, a, h)
@@ -100,7 +101,7 @@ func InferStackTo(ctx *exec.Ctx, out *dense.Matrix, layers []*GCNConv, a Adjacen
 	for i, l := range layers {
 		dst := out
 		if i != len(layers)-1 {
-			dst = ctx.Borrow(a.Rows(), l.Lin.Out)
+			dst = ctx.BorrowUninit(a.Rows(), l.Lin.Out) // ForwardTo overwrites it
 		}
 		l.ForwardTo(ctx, dst, a, cur)
 		if prev != nil {

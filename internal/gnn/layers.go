@@ -78,7 +78,7 @@ func (c *GCNConv) Forward(a Adjacency, x *dense.Matrix, threads int) *dense.Matr
 func (c *GCNConv) ForwardTo(ctx *exec.Ctx, out *dense.Matrix, a Adjacency, x *dense.Matrix) {
 	sp := ctx.Begin(obs.StageLayer)
 	ctx.Inc(obs.CounterLayerForwards)
-	xw := ctx.Borrow(x.Rows, c.Lin.Out)
+	xw := ctx.BorrowUninit(x.Rows, c.Lin.Out) // MulTo overwrites it
 	c.Lin.ForwardTo(ctx, xw, x)
 	a.MulToCtx(ctx, out, xw)
 	ctx.Release(xw)
